@@ -8,11 +8,12 @@ concrete value, which is reported on the solution.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "AngleExpr",
@@ -22,6 +23,8 @@ __all__ = [
     "quad_sum_residual",
     "vertex_sum_residual",
     "solve_angle_system",
+    "AffineAngles",
+    "solve_affine",
 ]
 
 ANGLE_NAMES = ("alpha", "beta", "gamma", "delta")
@@ -208,19 +211,98 @@ def solve_angle_system(
     Unknowns are (alpha, beta, gamma, delta, x) with x = pi/f, all in units
     of pi: each signature contributes a*alpha+b*beta+c*gamma+d*delta = 2pi,
     and the quadrilateral sum contributes alpha+beta+gamma+delta = 2pi + 4x.
-    Passing a concrete ``f`` adds the equation x = pi/f.
+    Passing a concrete ``f`` adds the equation x = pi/f.  The result is a
+    view of the integer solution that ``solve_affine`` returns.
     """
-    sigs = sorted(set(signatures))
-    if not sigs:
-        raise ValueError("signature set must be nonempty")
-    rows: list[list[Fraction]] = []
-    for s in sigs:
-        rows.append([Fraction(e) for e in s.exponents] + [Fraction(0), Fraction(2)])
-    if include_quad_sum:
-        rows.append([Fraction(1)] * 4 + [Fraction(-4), Fraction(2)])
-    if f is not None:
-        rows.append([Fraction(0)] * 4 + [Fraction(1), Fraction(1, f)])
-    return _solve_rows(rows)
+    solved = _solve(signatures, include_quad_sum, f)
+    if solved is None:
+        return AngleSolution(kind="infeasible")
+    aff, pinned_f = solved
+    relations = {}
+    for name, (const, *ks) in zip(ANGLE_NAMES, aff.rows):
+        coeffs = {n: Fraction(k, aff.den) for n, k in zip(aff.free, ks) if k}
+        relations[name] = (
+            AngleExpr(Fraction(const, aff.den), coeffs.pop("x", 0)), coeffs)
+    free = tuple(n for n in aff.free if n != "x")
+    if free:
+        return AngleSolution(kind="parametric", free=free,
+                             relations=relations, pinned_f=pinned_f)
+    return AngleSolution(
+        kind="unique",
+        assignment={n: const for n, (const, _) in relations.items()},
+        relations=relations,
+        pinned_f=pinned_f,
+    )
+
+
+class AffineAngles(NamedTuple):
+    """The solution set of an angle-sum system as an exact integer map.
+
+    Each of alpha, beta, gamma, delta (in units of pi) is
+    ``(row[0] + sum(row[j] * free[j - 1] for j >= 1)) / den``, one row per
+    angle.  ``free`` lists the free angles in alpha, beta, gamma, delta
+    order, then ``"x"`` (pi/f) when f is symbolic and not forced.  ``den`` is
+    positive and ``den`` and all row entries together have gcd 1, so equal
+    solution sets are equal tuples (and hash equal).
+    """
+
+    free: tuple[str, ...]
+    den: int
+    rows: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def reduced(free: tuple[str, ...], den: int,
+                rows: Iterable[Sequence[int]]) -> "AffineAngles":
+        """The canonical AffineAngles of (row / den), for any nonzero den."""
+        rows = list(rows)
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        g = -g if den < 0 else g
+        if g == 1:
+            return AffineAngles(free, den, tuple(map(tuple, rows)))
+        return AffineAngles(free, den // g,
+                            tuple(tuple(v // g for v in row) for row in rows))
+
+    def equation(self, sig: VertexSignature) -> list[int]:
+        """sig's angle sum minus 2pi, as a row (const, k_1..k_m) over den."""
+        a, b, c, d = sig.exponents
+        eq = [a * ka + b * kb + c * kc + d * kd
+              for ka, kb, kc, kd in zip(*self.rows)]
+        eq[0] -= 2 * self.den
+        return eq
+
+    def pin(self, eq: Sequence[int]) -> "AffineAngles":
+        """The solutions that also satisfy ``eq`` = 0, for a row from
+        ``equation`` with a nonzero free coefficient: one elimination step
+        removes the first free parameter whose coefficient is nonzero."""
+        col = next(j for j in range(1, len(eq)) if eq[j])
+        rows = [_eliminate(row, eq, col) for row in self.rows]
+        for row in rows:
+            del row[col]
+        return AffineAngles.reduced(
+            self.free[:col - 1] + self.free[col:], self.den * eq[col], rows)
+
+
+def _eliminate(row: Sequence[int], pivot: Sequence[int], col: int) -> list[int]:
+    """Fraction-free elimination step: ``row`` scaled by ``pivot[col]``
+    minus ``pivot`` scaled by ``row[col]``, which is zero at ``col``."""
+    a, b = pivot[col], row[col]
+    return [a * r - b * p for r, p in zip(row, pivot)]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def solve_affine(
+    signatures: Iterable[VertexSignature],
+    include_quad_sum: bool = True,
+    f: int | None = None,
+) -> AffineAngles | None:
+    """The system of ``solve_angle_system`` solved by fraction-free integer
+    elimination, as AffineAngles; None if it has no solution."""
+    solved = _solve(signatures, include_quad_sum, f)
+    return None if solved is None else solved[0]
 
 
 # Pivot preference: delta, gamma, beta, alpha, then x — so free variables
@@ -230,83 +312,53 @@ _PIVOT_ORDER = (3, 2, 1, 0, 4)
 _VAR_NAMES = ANGLE_NAMES + ("x",)
 
 
-def _solve_rows(rows: list[list[Fraction]]) -> AngleSolution:
-    rows = [row[:] for row in rows]
-    pivots: dict[int, list[Fraction]] = {}
+def _solve(
+    signatures: Iterable[VertexSignature],
+    include_quad_sum: bool,
+    f: int | None,
+) -> tuple[AffineAngles, Fraction | None] | None:
+    """The solution and the value of f it forces (None if f stays free);
+    None if the system has no solution."""
+    sigs = sorted(set(signatures))
+    if not sigs:
+        raise ValueError("signature set must be nonempty")
+    # columns alpha, beta, gamma, delta, x | right-hand side
+    rows = [[*s.exponents, 0, 2] for s in sigs]
+    if include_quad_sum:
+        rows.append([1, 1, 1, 1, -4, 2])
+    if f is not None:
+        rows.append([0, 0, 0, 0, f, 1])
+    pivots: dict[int, list[int]] = {}
     for col in _PIVOT_ORDER:
-        pivot_row = None
-        for row in rows:
-            if row[col] != 0:
-                pivot_row = row
-                break
-        if pivot_row is None:
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
             continue
-        rows.remove(pivot_row)
-        inv = 1 / pivot_row[col]
-        pivot_row = [v * inv for v in pivot_row]
-        for other in list(pivots.values()) + rows:
-            if other[col] != 0:
-                factor = other[col]
-                for i in range(6):
-                    other[i] -= factor * pivot_row[i]
-        pivots[col] = pivot_row
-    for row in rows:
-        if any(row[i] != 0 for i in range(5)):
-            raise AssertionError("elimination left an unreduced row")
-        if row[5] != 0:
-            return AngleSolution(kind="infeasible")
+        rows.remove(pivot)
+        rows = [_primitive(_eliminate(row, pivot, col)) if row[col] else row
+                for row in rows]
+        pivots = {c: _primitive(_eliminate(row, pivot, col)) if row[col]
+                  else row for c, row in pivots.items()}
+        pivots[col] = pivot
+    # every remaining row is zero left of the right-hand side
+    if any(row[5] for row in rows):
+        return None
 
-    free_cols = [i for i in range(5) if i not in pivots]
-    free_angles = tuple(_VAR_NAMES[i] for i in free_cols if i != 4)
-
-    pinned_f: Fraction | None = None
+    pinned_f = None
     if 4 in pivots:
+        # x is forced to a constant (no angle column survives in its row)
         xrow = pivots[4]
-        if all(xrow[i] == 0 for i in range(4)):
-            if xrow[5] == 0:
-                return AngleSolution(kind="infeasible")
-            pinned_f = 1 / xrow[5]
-
-    def expr_of(col: int) -> tuple[AngleExpr, dict[str, Fraction]]:
-        """Express variable `col` as const + coeff*free-angles (+ x term)."""
-        if col not in pivots:
-            if col == 4:
-                return AngleExpr.pi_over_f(1), {}
-            return AngleExpr(), {_VAR_NAMES[col]: Fraction(1)}
-        row = pivots[col]
-        const = AngleExpr.pi(row[5])
-        coeffs: dict[str, Fraction] = {}
-        for j in range(5):
-            if j == col or row[j] == 0:
-                continue
-            sub_const, sub_coeffs = expr_of(j)
-            const = const - row[j] * sub_const
-            for name, k in sub_coeffs.items():
-                coeffs[name] = coeffs.get(name, Fraction(0)) - row[j] * k
-        coeffs = {n: k for n, k in coeffs.items() if k != 0}
-        return const, coeffs
-
-    relations = {}
-    assignment = {}
-    for i, name in enumerate(ANGLE_NAMES):
-        const, coeffs = expr_of(i)
-        if pinned_f is not None:
-            const = AngleExpr.pi(const.coefficient_of_pi(pinned_f))
-        relations[name] = (const, coeffs)
-        if not coeffs:
-            assignment[name] = const
-
-    if not free_angles:
-        return AngleSolution(
-            kind="unique",
-            assignment=assignment,
-            relations=relations,
-            pinned_f=pinned_f,
-        )
-    return AngleSolution(
-        kind="parametric",
-        assignment=None,
-        free=free_angles,
-        relations=relations,
-        pinned_f=pinned_f,
-    )
+        if not xrow[5]:
+            return None
+        pinned_f = Fraction(xrow[4], xrow[5])
+    free_cols = [c for c in range(5) if c not in pivots]
+    den = math.lcm(*(pivots[c][c] for c in range(4) if c in pivots))
+    out = []
+    for c in range(4):
+        if c in pivots:
+            row = pivots[c]
+            s = den // row[c]
+            out.append([row[5] * s] + [-row[j] * s for j in free_cols])
+        else:
+            out.append([0] + [den if j == c else 0 for j in free_cols])
+    free = tuple(_VAR_NAMES[c] for c in free_cols)
+    return AffineAngles.reduced(free, den, out), pinned_f

@@ -167,9 +167,11 @@ def _resolve_quad(args: argparse.Namespace, m: TilingMap) -> SphericalQuad:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    tol = os.environ.get("QUADTILE_TOL_REALIZE")
-    if tol is not None:
-        geometry.TOL_REALIZE = float(tol)
+    try:
+        tol = float(os.environ.get("QUADTILE_TOL_REALIZE",
+                                   geometry.TOL_REALIZE))
+    except ValueError as exc:
+        return _fail(f"QUADTILE_TOL_REALIZE: {exc}", 2)
     try:
         m = _load_map(args.mapfile)
     except (OSError, ValueError, TilingError) as exc:
@@ -181,7 +183,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     except (GeometryError, ValueError) as exc:
         return _fail(str(exc), 2)
     try:
-        real = realize(m, q)
+        real = realize(m, q, tol=tol)
     except geometry.ClosureError as exc:
         print(f"error: realization failed: {exc}", file=sys.stderr)
         print(f"worst vertex: {exc.worst_vertex}  gap: {_FMT(exc.gap)}",

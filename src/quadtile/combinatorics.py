@@ -4,18 +4,13 @@ anglewise-vertex-combination (AVC) feasibility search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .angles import (
-    ANGLE_NAMES,
-    AngleExpr,
-    AngleSolution,
-    VertexSignature,
-    solve_angle_system,
-)
+from .angles import AffineAngles, AngleExpr, VertexSignature, solve_affine
 
 __all__ = [
     "parity_admissible",
@@ -54,9 +49,8 @@ def parity_admissible(sig: VertexSignature) -> bool:
 def angles_feasible(signatures: Iterable[VertexSignature], f: int) -> bool:
     """Whether the vertex angle-sum system admits angle values in (0, 2pi)
     with at most one reflex angle (and beta != delta unless gamma = pi)."""
-    sol = solve_angle_system(signatures, include_quad_sum=True, f=f)
-    node = _node_of(sol, f)
-    return node is not None and _node_witness(node) is not None
+    node = solve_affine(signatures, include_quad_sum=True, f=f)
+    return node is not None and _node_witness(node)
 
 
 def catalog_sort_key(sig: VertexSignature) -> tuple:
@@ -248,41 +242,23 @@ def search_avcs(
 
     found: dict[tuple, AVCCandidate] = {}
 
-    # extension results depend only on the node's solution set, not on which
-    # subset produced it, so cache on the canonical relations
-    ext_cache: dict[tuple, object] = {}
+    # adding a signature and the witness test depend only on the node's
+    # solution set, not on which subset produced it; a node is canonical,
+    # so both are cached on the node itself
+    add = functools.cache(_node_add)
+    witness = functools.cache(_node_witness)
 
-    # canonical key per live node (the entry keeps the node alive, so the
-    # id key stays valid)
-    key_cache: dict[int, tuple] = {}
-
-    def _key(node) -> tuple:
-        entry = key_cache.get(id(node))
-        if entry is None or entry[0] is not node:
-            entry = (node, _node_key(node))
-            key_cache[id(node)] = entry
-        return entry[1]
-
-    def _extend(base, extra):
+    def _extend(base: AffineAngles, extra) -> AffineAngles | None:
         """Node for base+extra if feasible with a positive witness, else
-        None; computed by incremental substitution into the base relations
-        and cached on (base node, extra)."""
-        key = (_key(base), tuple(sorted(s.exponents for s in extra)))
-        if key not in ext_cache:
-            node = base
-            for s in extra:
-                status = _node_status(node, s)
-                if status == "infeasible":
-                    node = None
-                    break
-                if status == "pins":
-                    node = _node_pin(node, s)
-            if node is not None and _node_witness(node) is None:
-                node = None
-            ext_cache[key] = node
-        return ext_cache[key]
+        None; computed by incremental elimination from the base node."""
+        node = base
+        for s in extra:
+            node = add(node, s)
+            if node is None:
+                return None
+        return node if witness(node) else None
 
-    def consider(subset: list[VertexSignature], node) -> None:
+    def consider(subset: list[VertexSignature], node: AffineAngles) -> None:
         support = frozenset(subset)
         sigs = tuple(sorted(subset, key=catalog_sort_key))
         key = tuple(s.exponents for s in sigs)
@@ -291,10 +267,10 @@ def search_avcs(
         mults = avc_feasibility(subset, f)
         if not mults:
             return
-        free, rel = node
         exprs = None
-        if not free:
-            exprs = tuple(AngleExpr.pi(rel[n][0]) for n in ANGLE_NAMES)
+        if not node.free:
+            exprs = tuple(AngleExpr.pi(Fraction(row[0], node.den))
+                          for row in node.rows)
         counts = mults[0]
         found[key] = AVCCandidate(
             f=f,
@@ -306,11 +282,10 @@ def search_avcs(
 
     # compatible high signatures (with their statuses) depend only on the
     # node's solution set, so share them across subsets with equal solutions
-    comp_cache: dict[tuple, tuple] = {}
+    comp_cache: dict[AffineAngles, tuple] = {}
 
-    def _compatible_high(base):
-        key = _key(base)
-        if key not in comp_cache:
+    def _compatible_high(base: AffineAngles):
+        if base not in comp_cache:
             compatible = []
             statuses = {}
             for s in high:
@@ -320,8 +295,8 @@ def search_avcs(
                         and _extend(base, [s]) is not None):
                     compatible.append(s)
                     statuses[s] = status
-            comp_cache[key] = (compatible, statuses)
-        return comp_cache[key]
+            comp_cache[base] = (compatible, statuses)
+        return comp_cache[base]
 
     def extend_high(subset: list[VertexSignature], base) -> None:
         consider(subset, base)
@@ -356,9 +331,8 @@ def search_avcs(
                 if child is None:
                     continue
             else:
-                child = _node_of(
-                    solve_angle_system([s], include_quad_sum=True, f=f), f)
-                if child is None or _node_witness(child) is None:
+                child = solve_affine([s], include_quad_sum=True, f=f)
+                if child is None or not _node_witness(child):
                     continue
             subset.append(s)
             rec_low(i + 1, subset, child)
@@ -371,131 +345,53 @@ def search_avcs(
 
 
 # Inside the search a solved vertex-angle system at concrete f is carried as
-# a lightweight "node" (free, rel): free is the tuple of free angle names and
-# rel maps every angle name to (const, coeffs) with const a plain Fraction
-# (a multiple of pi) and coeffs rational multiples of the free angles.
+# a node: the solver's AffineAngles, angles = (row[0] + sum k_j free_j) / den
+# with integer rows, den > 0 and gcd(den, all entries) = 1, so a node is its
+# own canonical cache key.  f is concrete, so the free parameters are angles;
+# delta is always a pivot of the quadrilateral sum, so they are drawn from
+# alpha, beta, gamma.  Adding a signature that raises the rank ("pins")
+# eliminates the first free angle, in alpha, beta, gamma order, with a
+# nonzero coefficient in its equation.  Which angles stay free matters: the
+# witness below samples the free angles on a grid.
 
 
-def _node_of(sol: AngleSolution, f) -> tuple | None:
-    """Node view of a solver result at concrete f; None if infeasible."""
-    if sol.kind == "infeasible" or sol.relations is None:
-        return None
-    rel = {n: (sol.relations[n][0].coefficient_of_pi(f),
-               dict(sol.relations[n][1])) for n in ANGLE_NAMES}
-    return (tuple(sol.free), rel)
-
-
-def _node_key(node) -> tuple:
-    """Canonical hashable form of a node's relations."""
-    _, rel = node
-    return tuple((n, rel[n][0], tuple(sorted(rel[n][1].items())))
-                 for n in ANGLE_NAMES)
-
-
-def _node_equation(node, sig: VertexSignature) -> tuple[Fraction, dict]:
-    """sig's angle-sum equation const + sum(coeffs * free) = 2 under the
-    node's relations."""
-    _, rel = node
-    const = Fraction(0)
-    coeffs: dict[str, Fraction] = {}
-    for e, name in zip(sig.exponents, ANGLE_NAMES):
-        if not e:
-            continue
-        c0, cf = rel[name]
-        const += e * c0
-        for n, k in cf.items():
-            coeffs[n] = coeffs.get(n, 0) + e * k
-    return const, coeffs
-
-
-def _node_status(node, sig: VertexSignature) -> str:
+def _node_status(node: AffineAngles, sig: VertexSignature) -> str:
     """Effect of adding sig's angle-sum equation to a solved system:
     'redundant' (solution set unchanged), 'infeasible', or 'pins' (the rank
     increases, so a free angle gets substituted away)."""
-    const, coeffs = _node_equation(node, sig)
-    if any(coeffs.values()):
+    const, *coeffs = node.equation(sig)
+    if any(coeffs):
         return "pins"
-    return "redundant" if const == 2 else "infeasible"
+    return "infeasible" if const else "redundant"
 
 
-def _node_pin(node, sig: VertexSignature) -> tuple:
-    """Node for node plus sig's angle-sum equation, computed by substituting
-    the newly pinned free angle into the base relations.  Only valid when
-    ``_node_status(node, sig) == 'pins'``."""
-    free, rel = node
-    const, coeffs = _node_equation(node, sig)
-    pivot = next(n for n in free if coeffs.get(n))
-    cp = coeffs[pivot]
-    # pivot = sub_const + sum(sub_coeffs[n] * n) over the remaining free angles
-    sub_const = (2 - const) / cp
-    sub_coeffs = {n: -k / cp for n, k in coeffs.items() if n != pivot and k}
-    new_rel = {}
-    for name in ANGLE_NAMES:
-        c0, cf = rel[name]
-        k = cf.get(pivot)
-        if not k:
-            new_rel[name] = (c0, cf)
+def _node_add(node: AffineAngles, sig: VertexSignature) -> AffineAngles | None:
+    """node with sig's angle-sum equation added; None if infeasible."""
+    const, *coeffs = eq = node.equation(sig)
+    if any(coeffs):
+        return node.pin(eq)
+    return None if const else node
+
+
+def _node_witness(node: AffineAngles) -> bool:
+    """Whether some angle assignment with the free angles on the 1/8 grid
+    (multiples of pi in (0, 2)) has all angles in (0, 2), at most one >= 1,
+    and beta != delta unless gamma = 1.
+
+    At grid point free_j = t_j / 8 an angle is n / (8 den) with
+    n = 8 row[0] + sum(row[j] t_j), so every test is an integer comparison
+    of n against 0, 8 den and 16 den.
+    """
+    one, two = 8 * node.den, 16 * node.den
+    consts = [8 * row[0] for row in node.rows]
+    for ts in itertools.product(range(1, 16), repeat=len(node.free)):
+        a, b, g, d = (c + sum(k * t for k, t in zip(row[1:], ts))
+                      for c, row in zip(consts, node.rows))
+        if not (0 < a < two and 0 < b < two and 0 < g < two and 0 < d < two):
             continue
-        new_cf = {n: v for n, v in cf.items() if n != pivot}
-        for n, v in sub_coeffs.items():
-            new_cf[n] = new_cf.get(n, 0) + k * v
-        new_rel[name] = (c0 + k * sub_const,
-                         {n: v for n, v in new_cf.items() if v})
-    return (tuple(n for n in free if n != pivot), new_rel)
-
-
-def _node_witness(node) -> dict[str, Fraction] | None:
-    """A witness assignment (multiples of pi) with all angles in (0, 2),
-    at most one >= 1, and beta != delta unless gamma = 1; None if impossible."""
-    free, rel = node
-
-    def value(name: str, assign: dict[str, Fraction]) -> Fraction:
-        const, coeffs = rel[name]
-        v = const
-        for n, k in coeffs.items():
-            v += k * assign[n]
-        return v
-
-    if not free:
-        vals = {n: rel[n][0] for n in ANGLE_NAMES}
-        return vals if _angles_ok(vals) else None
-
-    # Sample the free angles on a coarse rational grid; the constraint region
-    # is an open polytope, so a modest grid finds a witness when one exists.
-    # Scan in float first (all quantities are rationals with moderate
-    # denominators, so a 1e-9 margin cannot misclassify) and confirm the
-    # winning grid point exactly.
-    consts = {n: float(rel[n][0]) for n in ANGLE_NAMES}
-    coefs = {n: [(fn, float(k)) for fn, k in rel[n][1].items()]
-             for n in ANGLE_NAMES}
-    for ks in itertools.product(range(1, 16), repeat=len(free)):
-        approx = dict(zip(free, (k / 8 for k in ks)))
-        vals_f = {n: consts[n] + sum(k * approx[fn] for fn, k in coefs[n])
-                  for n in ANGLE_NAMES}
-        if not _angles_ok_float(vals_f):
+        if (a >= one) + (b >= one) + (g >= one) + (d >= one) > 1:
             continue
-        assign = dict(zip(free, (Fraction(k, 8) for k in ks)))
-        vals = {n: value(n, assign) for n in ANGLE_NAMES}
-        if _angles_ok(vals):
-            return vals
-    return None
-
-
-def _angles_ok_float(vals: Mapping[str, float], eps: float = 1e-9) -> bool:
-    if any(v <= eps or v >= 2 - eps for v in vals.values()):
-        return False
-    if sum(1 for v in vals.values() if v >= 1 - eps) > 1:
-        return False
-    if abs(vals["beta"] - vals["delta"]) < eps and abs(vals["gamma"] - 1) > eps:
-        return False
-    return True
-
-
-def _angles_ok(vals: Mapping[str, Fraction]) -> bool:
-    if any(v <= 0 or v >= 2 for v in vals.values()):
-        return False
-    if sum(1 for v in vals.values() if v >= 1) > 1:
-        return False
-    if vals["beta"] == vals["delta"] and vals["gamma"] != 1:
-        return False
-    return True
+        if b == d and g != one:
+            continue
+        return True
+    return False

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .tilingmap import EDGE_LABELS, TilingMap, extract_avc, verify
 
@@ -334,12 +333,29 @@ def degeneracy_loci() -> dict[str, float]:
                           - _cube_quad_unchecked(d * math.pi)[j])
 
     return {
-        "family a=b": brentq(fam(0, 1), 6.2, 7.5, xtol=1e-14),
-        "family a=c": brentq(fam(0, 2), 13.0, 14.5, xtol=1e-14),
-        "family b=c": brentq(fam(1, 2), 9.0, 11.0, xtol=1e-14),
-        "cube a=b": brentq(cube(0, 1), 0.35, 0.49, xtol=1e-15),
-        "cube a=c": brentq(cube(0, 2), 0.51, 0.65, xtol=1e-15),
+        "family a=b": _bisect(fam(0, 1), 6.2, 7.5, xtol=1e-14),
+        "family a=c": _bisect(fam(0, 2), 13.0, 14.5, xtol=1e-14),
+        "family b=c": _bisect(fam(1, 2), 9.0, 11.0, xtol=1e-14),
+        "cube a=b": _bisect(cube(0, 1), 0.35, 0.49, xtol=1e-15),
+        "cube a=c": _bisect(cube(0, 2), 0.51, 0.65, xtol=1e-15),
     }
+
+
+def _bisect(fn: Callable[[float], float], lo: float, hi: float,
+            xtol: float) -> float:
+    """A root of fn in [lo, hi], where fn changes sign, to within xtol."""
+    neg_lo = fn(lo) < 0
+    if neg_lo == (fn(hi) < 0):
+        raise ValueError(f"no sign change of fn on [{lo}, {hi}]")
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats
+            break
+        if (fn(mid) < 0) == neg_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +532,15 @@ def _corner_angle(prev: np.ndarray, at: np.ndarray, nxt: np.ndarray) -> float:
     return math.acos(min(1.0, max(-1.0, float(cosang))))
 
 
-def realize(m: TilingMap, q: SphericalQuad) -> Realization:
+def realize(m: TilingMap, q: SphericalQuad,
+            tol: float = TOL_REALIZE) -> Realization:
     """Embed the map on the unit sphere by breadth-first frame propagation
     from tile 0 (corner A at the north pole, AB along the prime meridian).
 
     Every vertex of the map must satisfy its angle sum within 1e-9; all
-    coordinates assigned to a vertex must agree within 1e-6, and the total
-    spherical area of the tiles must be 4pi within 1e-6.
+    coordinates assigned to a vertex must agree within ``tol`` (default
+    1e-6), and the total spherical area of the tiles must be 4pi within
+    ``tol``.
     """
     report = verify(m, extract_avc(m))
     if not report.passed:
@@ -580,10 +598,10 @@ def realize(m: TilingMap, q: SphericalQuad) -> Realization:
             place(t2, [R @ quad_pts[corner] for corner in range(4)])
             queue.append(t2)
 
-    if worst > TOL_REALIZE:
+    if worst > tol:
         raise ClosureError(
             f"realization does not close: vertex {worst_vertex} gap "
-            f"{worst:.3e} exceeds {TOL_REALIZE:.0e}", worst_vertex, worst)
+            f"{worst:.3e} exceeds {tol:.0e}", worst_vertex, worst)
 
     total_area = 0.0
     for corners in world:
@@ -593,7 +611,7 @@ def realize(m: TilingMap, q: SphericalQuad) -> Realization:
                           corners[(i + 1) % 4])
             for i in range(4))
         total_area += angle_sum - 2.0 * math.pi
-    if abs(total_area - 4.0 * math.pi) > TOL_REALIZE:
+    if abs(total_area - 4.0 * math.pi) > tol:
         raise ClosureError(
             f"tile areas sum to {total_area!r}, not 4*pi", -1,
             abs(total_area - 4.0 * math.pi))

@@ -32,7 +32,6 @@ __all__ = [
     "InvolutionError",
     "DisconnectedError",
     "EulerError",
-    "OrientationError",
     "TilingMap",
     "VertexCycle",
     "build",
@@ -66,15 +65,6 @@ class DisconnectedError(TilingError):
 
 class EulerError(TilingError):
     """The Euler characteristic v - e + f differs from 2."""
-
-
-class OrientationError(TilingError):
-    """No consistent global orientation exists.
-
-    With per-tile orientation bits every glue table yields an oriented
-    surface by construction, so this error is unreachable from build(); it
-    exists so callers can treat the full taxonomy uniformly.
-    """
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quadtile import geometry
 from quadtile.cli import main
 
 
@@ -134,6 +135,25 @@ class TestRealize:
         # [TRIVIAL]
         code, _, _ = run(capsys, "realize", str(cube_file))
         assert code == 2
+
+    def test_tolerance_env_is_per_call(self, capsys, pq24_file, monkeypatch):
+        # [DERIVED] QUADTILE_TOL_REALIZE applies to that call only: a tiny
+        # tolerance fails the realization and leaves the module default
+        monkeypatch.setenv("QUADTILE_TOL_REALIZE", "1e-300")
+        code, _, err = run(capsys, "realize", str(pq24_file),
+                           "--quad", "family")
+        assert code == 1 and "realization failed" in err
+        assert geometry.TOL_REALIZE == 1e-6
+        monkeypatch.delenv("QUADTILE_TOL_REALIZE")
+        code, _, _ = run(capsys, "realize", str(pq24_file), "--quad", "family")
+        assert code == 0
+
+    def test_bad_tolerance_env(self, capsys, cube_file, monkeypatch):
+        # [TRIVIAL] an unparsable tolerance is a usage error
+        monkeypatch.setenv("QUADTILE_TOL_REALIZE", "tight")
+        code, _, err = run(capsys, "realize", str(cube_file),
+                           "--delta", "pi/3")
+        assert code == 2 and "QUADTILE_TOL_REALIZE" in err
 
 
 class TestSymmetry:

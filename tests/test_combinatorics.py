@@ -1,12 +1,14 @@
 """Catalog, parity, counting, and AVC search tests."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtile.angles import VertexSignature
+from quadtile.angles import VertexSignature, solve_angle_system
 from quadtile.combinatorics import (
     DegreeVector,
     KNOWN_UNREALIZABLE,
@@ -168,3 +170,68 @@ class TestSearch:
         # [TRIVIAL]
         with pytest.raises(ValueError):
             search_avcs(7)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _candidate_line(cand) -> str:
+    body = ",".join(
+        f"{s}x{m}" for s, m in zip(cand.signatures, cand.multiplicities))
+    angles = ",".join(map(str, cand.angles)) if cand.angles else "-"
+    return f"{cand.f}|{body}|{angles}|{cand.known_unrealizable}"
+
+
+def _solution_line(subset, sol) -> str:
+    head = ",".join(map(str, subset)) + f"|{sol.kind}|{sol.pinned_f}"
+    if sol.kind == "infeasible":
+        return head
+    rel = ";".join(
+        f"{name}={const}" + "".join(
+            f"+{k}*{v}" for v, k in sorted(coeffs.items()))
+        for name, (const, coeffs) in sol.relations.items())
+    return f"{head}|{','.join(sol.free)}|{rel}"
+
+
+class TestGoldenDifferential:
+    """Full outputs of the exact search and solver, pinned by sha256 digests
+    recorded before the search moved to integer arithmetic."""
+
+    SEARCH_DIGESTS = {
+        (6, None): "57a45e743397246e07eed4ae25024fdbd7e8b428b7410d6575509dad7b6ce8cd",
+        (8, None): "951b3b29a0cdd398bc4e8d906c0faacd60110494a53cd9e74c9e342048578a14",
+        (10, None): "fe3d8887bc50ca56ff93b4e7f4e835f7f00c72d6ec38cd1f70310e9e8d3bba70",
+        (12, None): "cb0036567e543fe643af8125fb48cd4547f772dac0db592cf750f6f161ce7503",
+        (14, None): "5403f0b920a19c23fab6947381cb54f9ea2eb6df390d7feab628d80353554f20",
+        (16, None): "febf10ef380be35fa0b6732aadcc554a7d88cc3d8d7f20b364ff2535fa390231",
+        (24, 6): "dd4cc189ae5d1f36584a3d68a70c3c7ec788cfb2bbd9a06ebe74f5cc9abc0148",
+    }
+    SOLVER_DIGESTS = {
+        (24, True): "9093fcb6cf5547352240ab29972716464b87b5f99d7e20b08d5b7e382bb7b68f",
+        (None, True): "91b8d90a606d9322c913db5ac52790fdb92270276cffaf2189b2b0b7e76675d2",
+        (None, False): "5650ca16e1d6daecb01925fd8bb999d54aec17247f4947b3268e1e16d6eda609",
+    }
+
+    @pytest.mark.parametrize("f,max_degree", sorted(
+        SEARCH_DIGESTS, key=lambda k: k[0]))
+    def test_search(self, f, max_degree):
+        # [DERIVED] candidate lists unchanged: signatures x multiplicities,
+        # angle strings and the known-unrealizable flag, in output order
+        cands = search_avcs(f, max_degree=max_degree)
+        assert _digest(map(_candidate_line, cands)) == \
+            self.SEARCH_DIGESTS[(f, max_degree)]
+
+    @pytest.mark.parametrize("f,quad_sum", list(SOLVER_DIGESTS))
+    def test_solver_sweep(self, f, quad_sum):
+        # [DERIVED] solve_angle_system on every 1-3-subset of the
+        # degree-3/4/5 catalog, at f=24 and with f symbolic: kind, pinned f,
+        # free angles and relations
+        catalog = [s for k in (3, 4, 5) for s in degree_vertex_catalog(k)]
+        lines = [
+            _solution_line(subset, solve_angle_system(
+                subset, include_quad_sum=quad_sum, f=f))
+            for r in (1, 2, 3)
+            for subset in itertools.combinations(catalog, r)]
+        assert len(lines) == 2324
+        assert _digest(lines) == self.SOLVER_DIGESTS[(f, quad_sum)]
