@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import geometry
 from .angles import VertexSignature
-from .combinatorics import catalog_sort_key, search_avcs
+from .combinatorics import search_avcs
 from .constructors import (
     DomainError,
     earth_map,
@@ -40,7 +40,7 @@ from .geometry import (
     solve_edges,
 )
 from .symmetry import classify
-from .tilingmap import TilingError, TilingMap, extract_avc, verify
+from .tilingmap import TilingError, TilingMap, extract_avc, format_avc, verify
 
 _FMT = "{:.17g}".format
 
@@ -85,11 +85,6 @@ def _load_map(path: str) -> TilingMap:
         return TilingMap.from_json(fh.read())
 
 
-def _avc_summary(m: TilingMap) -> str:
-    items = sorted(extract_avc(m).items(), key=lambda kv: catalog_sort_key(kv[0]))
-    return " ".join(f"{sig}×{n}" for sig, n in items)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -111,7 +106,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except (DomainError, TilingError, ValueError) as exc:
         return _fail(str(exc), 2)
 
-    print(f"f={m.f}  AVC: {_avc_summary(m)}")
+    print(f"f={m.f}  AVC: {format_avc(extract_avc(m))}")
     text = m.to_json()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -138,7 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify(m, expected, f=args.f)
     print(report)
     if report.passed:
-        print(f"OK: f={m.f}  AVC: {_avc_summary(m)}")
+        print(f"OK: f={m.f}  AVC: {format_avc(extract_avc(m))}")
         return 0
     print(f"FAILED: {len(report.failures)} check(s)")
     return 1

@@ -8,7 +8,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .angles import AffineAngles, AngleExpr, VertexSignature, solve_affine
 
@@ -18,7 +18,7 @@ __all__ = [
     "degree_vertex_catalog",
     "catalog_sort_key",
     "DegreeVector",
-    "CountingReport",
+    "CheckReport",
     "counting_identities",
     "avc_feasibility",
     "AVCCandidate",
@@ -89,24 +89,37 @@ class DegreeVector:
 
 
 @dataclass
-class CountingReport:
-    checks: list[tuple[str, bool]] = field(default_factory=list)
+class CheckReport:
+    """Named pass/fail checks in the order they were made, each with an
+    optional detail shown only when the check fails."""
+
+    checks: list[tuple[str, bool, str]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
+        return all(ok for _, ok, _ in self.checks)
 
     @property
     def failures(self) -> list[str]:
-        return [name for name, ok in self.checks if not ok]
+        """``"name: detail"`` per failed check, or ``"name"`` without one."""
+        return [f"{name}: {detail}" if detail else name
+                for name, ok, detail in self.checks if not ok]
 
-    def add(self, name: str, ok: bool) -> None:
-        self.checks.append((name, ok))
+    def add(self, name: str, ok: bool, detail: str = "") -> None:
+        self.checks.append((name, ok, detail))
+
+    def __str__(self) -> str:
+        lines = []
+        for name, ok, detail in self.checks:
+            mark = "PASS" if ok else "FAIL"
+            suffix = f" ({detail})" if detail and not ok else ""
+            lines.append(f"[{mark}] {name}{suffix}")
+        return "\n".join(lines)
 
 
-def counting_identities(dv: DegreeVector) -> CountingReport:
+def counting_identities(dv: DegreeVector) -> CheckReport:
     """Check the Euler-derived counting identities for a degree vector."""
-    report = CountingReport()
+    report = CheckReport()
     f = dv.f
     v3 = dv.v.get(3, 0)
     high = {h: n for h, n in dv.v.items() if h >= 4}
@@ -132,9 +145,18 @@ def avc_feasibility(
     sum n_v = f + 2 (the Euler vertex count, which subsumes the degree-count
     identities).  By default every listed signature must be used (n_v >= 1,
     the "AVC identically equal" reading); pass require_all_used=False for
-    nonnegative vectors."""
+    nonnegative vectors.  The vectors come in ascending lexicographic order
+    of their multiplicities read in catalog order (``catalog_sort_key``)."""
+    return list(_multiplicity_vectors(signatures, f, require_all_used))
+
+
+def _multiplicity_vectors(
+    signatures: Iterable[VertexSignature], f: int, require_all_used: bool,
+) -> Iterator[dict[VertexSignature, int]]:
+    """The vectors of ``avc_feasibility``, lazily and in the same order: the
+    recursion fixes one signature at a time in catalog order and tries its
+    multiplicities in ascending order."""
     sigs = sorted(set(signatures), key=catalog_sort_key)
-    results: list[dict[VertexSignature, int]] = []
     n = len(sigs)
     lo = 1 if require_all_used else 0
 
@@ -150,11 +172,11 @@ def avc_feasibility(
         deg = sigs[i].degree
         sufdeg[i] = (deg if dmin == 0 else min(deg, dmin), max(deg, dmax))
 
-    def rec(i: int, counts: dict[VertexSignature, int],
-            ra: int, rb: int, rc: int, rd: int, rv: int) -> None:
+    def rec(i: int, counts: dict[VertexSignature, int], ra: int, rb: int,
+            rc: int, rd: int, rv: int) -> Iterator[dict[VertexSignature, int]]:
         if i == n:
             if ra == rb == rc == rd == rv == 0:
-                results.append(dict(counts))
+                yield dict(counts)
             return
         # each remaining vertex uses one remaining signature, so the leftover
         # angle slots are bounded by the suffix exponent and degree ranges
@@ -174,14 +196,11 @@ def avc_feasibility(
         hi = min(bounds)
         for m in range(lo, hi + 1):
             counts[sig] = m
-            rec(i + 1, counts, ra - m * a, rb - m * b, rc - m * c,
-                rd - m * d, rv - m)
+            yield from rec(i + 1, counts, ra - m * a, rb - m * b, rc - m * c,
+                           rd - m * d, rv - m)
         counts.pop(sig, None)
 
-    rec(0, {}, f, f, f, f, f + 2)
-    results.sort(key=lambda mult: sorted(
-        (catalog_sort_key(s), m) for s, m in mult.items()))
-    return results
+    return rec(0, {}, f, f, f, f, f + 2)
 
 
 @dataclass(frozen=True)
@@ -264,14 +283,13 @@ def search_avcs(
         key = tuple(s.exponents for s in sigs)
         if key in found:
             return
-        mults = avc_feasibility(subset, f)
-        if not mults:
+        counts = next(_multiplicity_vectors(subset, f, True), None)
+        if counts is None:
             return
         exprs = None
         if not node.free:
             exprs = tuple(AngleExpr.pi(Fraction(row[0], node.den))
                           for row in node.rows)
-        counts = mults[0]
         found[key] = AVCCandidate(
             f=f,
             signatures=sigs,

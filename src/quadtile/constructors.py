@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .angles import VertexSignature
-from .tilingmap import TilingMap, build, extract_avc, verify
+from .tilingmap import (
+    EDGE_LABELS,
+    SLOT_NAMES,
+    TilingMap,
+    build,
+    extract_avc,
+    verify,
+)
 
 __all__ = [
     "DomainError",
@@ -35,10 +42,6 @@ class DomainError(ValueError):
 
 class FlipInvalidError(ValueError):
     """The requested flip boundary does not admit label-consistent regluing."""
-
-
-def _sig(text: str) -> VertexSignature:
-    return VertexSignature.parse(text)
 
 
 def _check_avc(m: TilingMap, expected: dict[VertexSignature, int],
@@ -69,7 +72,8 @@ def earth_map(f: int) -> TilingMap:
         glues.append(((up(i), "BC"), (lo(i), "BC")))
         glues.append(((up(i), "CD"), (lo(i + 1), "CD")))
     m = build(f, glues, orient=[0] * f)
-    expected = {_sig("bgd"): f, VertexSignature(k, 0, 0, 0): 2}
+    expected = {VertexSignature.parse("bgd"): f,
+                VertexSignature(k, 0, 0, 0): 2}
     return _check_avc(m, expected, f"earth_map({f})")
 
 
@@ -110,9 +114,9 @@ def pq_earth_map(f: int) -> TilingMap:
     orient = [0, 1, 1, 0, 0, 1, 1, 0] * k
     m = build(f, glues, orient=orient)
     expected = {
-        _sig("ab2"): f // 2,
-        _sig("a2d2"): f // 4,
-        _sig("g4"): f // 4,
+        VertexSignature.parse("ab2"): f // 2,
+        VertexSignature.parse("a2d2"): f // 4,
+        VertexSignature.parse("g4"): f // 4,
         VertexSignature(0, 0, 0, f // 4): 2,
     }
     return _check_avc(m, expected, f"pq_earth_map({f})")
@@ -147,14 +151,13 @@ def quad_subdivide(base: str) -> TilingMap:
     triangular_prism: three quads per triangular face and six per square face
     (screw arrangement with trisected vertical edges).
     """
-    if base == "cube":
-        m = _vertex_subdivision(CUBE_FACES)
-        expected = {_sig("a3"): 8, _sig("b2d2"): 12, _sig("g4"): 6}
-        return _check_avc(m, expected, "quad_subdivide(cube)")
-    if base == "octahedron":
-        m = _vertex_subdivision(_dual(OCTAHEDRON_FACES))
-        expected = {_sig("a3"): 8, _sig("b2d2"): 12, _sig("g4"): 6}
-        return _check_avc(m, expected, "quad_subdivide(octahedron)")
+    if base in ("cube", "octahedron"):
+        faces = CUBE_FACES if base == "cube" else _dual(OCTAHEDRON_FACES)
+        m = _vertex_subdivision(faces)
+        expected = {VertexSignature.parse("a3"): 8,
+                    VertexSignature.parse("b2d2"): 12,
+                    VertexSignature.parse("g4"): 6}
+        return _check_avc(m, expected, f"quad_subdivide({base})")
     if base == "triangular_prism":
         return _prism_subdivision()
     raise DomainError(
@@ -318,8 +321,11 @@ def _prism_subdivision() -> TilingMap:
         ]
     orient = [0, 0, 0, 0, 0, 0] + [1, 1, 0, 1, 1, 0] * 3
     m = build(24, glues, orient=orient)
-    expected = {_sig("a3"): 2, _sig("ab2"): 6, _sig("a2d2"): 6,
-                _sig("b2d2"): 6, _sig("g4"): 6}
+    expected = {VertexSignature.parse("a3"): 2,
+                VertexSignature.parse("ab2"): 6,
+                VertexSignature.parse("a2d2"): 6,
+                VertexSignature.parse("b2d2"): 6,
+                VertexSignature.parse("g4"): 6}
     return _check_avc(m, expected, "quad_subdivide(triangular_prism)")
 
 
@@ -347,9 +353,8 @@ class TimeZoneDisk:
     @property
     def boundary_word(self) -> str:
         """Edge-label word of the boundary walk (fixed per family)."""
-        from .tilingmap import EDGE_LABELS
-        slots = {"AB": 0, "BC": 1, "CD": 2, "DA": 3}
-        return "".join(EDGE_LABELS[slots[s]] for _, s in self.boundary)
+        return "".join(EDGE_LABELS[SLOT_NAMES.index(s)]
+                       for _, s in self.boundary)
 
 
 def _boundary_darts(m: TilingMap, tiles: set[int]) -> list[int]:
@@ -439,14 +444,14 @@ def _flip_tiles(
     for s in range(4 * m.f):
         g = m.glue[s]
         if s < g and (s // 4 in tiles) == (g // 4 in tiles):
-            kept.append(((s // 4, _slot(s)), (g // 4, _slot(g))))
+            kept.append((divmod(s, 4), divmod(g, 4)))
     orient = [o ^ (t in tiles) for t, o in enumerate(m.orient)]
 
     def reglue(offset: int) -> TilingMap:
         pairs = list(kept)
         for t in range(n):
             a, b = sb[(2 * pole - t + offset) % n], cb[t]
-            pairs.append(((a // 4, _slot(a)), (b // 4, _slot(b))))
+            pairs.append((divmod(a, 4), divmod(b, 4)))
         return build(m.f, pairs, orient=orient)
 
     if axis is not None:
@@ -474,10 +479,6 @@ def _flip_tiles(
         "no admissible reflection axis at this boundary")
 
 
-def _slot(s: int) -> str:
-    return ("AB", "BC", "CD", "DA")[s % 4]
-
-
 def decompose_time_zones(m: TilingMap) -> list[TimeZoneDisk]:
     """Partition an earth-map-style tiling into its time zone disks.
 
@@ -486,7 +487,8 @@ def decompose_time_zones(m: TilingMap) -> list[TimeZoneDisk]:
     ``flipped`` flag marks zones carrying mirrored orientation.
     """
     f = m.f
-    glue_pairs = {(s // 4, _slot(s), m.glue[s] // 4, _slot(m.glue[s]))
+    glue_pairs = {(s // 4, SLOT_NAMES[s % 4],
+                   m.glue[s] // 4, SLOT_NAMES[m.glue[s] % 4])
                   for s in range(4 * f)}
 
     def has(t1, s1, t2, s2):
@@ -512,7 +514,7 @@ def decompose_time_zones(m: TilingMap) -> list[TimeZoneDisk]:
                 TimeZoneDisk(
                     tiles=tuple(range(8 * z, 8 * z + 8)),
                     boundary=tuple(
-                        (s // 4, _slot(s)) for s in _boundary_darts(
+                        (s // 4, SLOT_NAMES[s % 4]) for s in _boundary_darts(
                             m, set(range(8 * z, 8 * z + 8)))),
                     flipped=kinds[z],
                 )
@@ -526,8 +528,9 @@ def decompose_time_zones(m: TilingMap) -> list[TimeZoneDisk]:
         return _matched_zones([
             TimeZoneDisk(
                 tiles=(i, k + i),
-                boundary=tuple((s // 4, _slot(s)) for s in _boundary_darts(
-                    m, {i, k + i})),
+                boundary=tuple(
+                    (s // 4, SLOT_NAMES[s % 4])
+                    for s in _boundary_darts(m, {i, k + i})),
                 flipped=False,
             )
             for i in range(k)
@@ -583,8 +586,7 @@ def flip_segment(
             f"zone_count must be in 1..{k}, got {zone_count}")
     if zone_count == k:
         # whole sphere: plain mirror image
-        pairs = [((s // 4, _slot(s)), (m.glue[s] // 4, _slot(m.glue[s])))
-                 for s in range(4 * m.f) if s < m.glue[s]]
+        pairs = [(divmod(s, 4), divmod(t, 4)) for s, t in m.edges()]
         return build(m.f, pairs, orient=[1 - o for o in m.orient])
     tiles = [t for j in range(zone_start, zone_start + zone_count)
              for t in units[j % k]]
@@ -613,9 +615,9 @@ def family_alphadelta(f: int) -> TilingMap:
     zones = _family_domain(f, "family_alphadelta")
     m = flip_segment(pq_earth_map(f), 0, zones)
     expected = {
-        _sig("ab2"): f // 2,
-        _sig("a2d2"): (f - 8) // 4,
-        _sig("g4"): f // 4,
+        VertexSignature.parse("ab2"): f // 2,
+        VertexSignature.parse("a2d2"): (f - 8) // 4,
+        VertexSignature.parse("g4"): f // 4,
         VertexSignature(1, 0, 0, (f + 8) // 8): 4,
     }
     return _check_avc(m, expected, f"family_alphadelta({f})")
@@ -629,10 +631,10 @@ def family_beta2delta(f: int) -> TilingMap:
     zones = _family_domain(f, "family_beta2delta")
     m = flip_segment(pq_earth_map(f), 0, 2 * zones + 1, half_zones=True)
     expected = {
-        _sig("ab2"): (f - 4) // 2,
-        _sig("a2d2"): f // 4,
+        VertexSignature.parse("ab2"): (f - 4) // 2,
+        VertexSignature.parse("a2d2"): f // 4,
         VertexSignature(0, 2, 0, (f - 8) // 8): 2,
-        _sig("g4"): f // 4,
+        VertexSignature.parse("g4"): f // 4,
         VertexSignature(1, 0, 0, (f + 8) // 8): 2,
     }
     return _check_avc(m, expected, f"family_beta2delta({f})")

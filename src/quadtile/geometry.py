@@ -10,11 +10,13 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .angles import ANGLE_NAMES
+from .combinatorics import CheckReport
 from .tilingmap import EDGE_LABELS, TilingMap, extract_avc, verify
 
 __all__ = [
@@ -25,7 +27,6 @@ __all__ = [
     "DegeneracyWarning",
     "SphericalQuad",
     "Realization",
-    "ConvexityReport",
     "Y",
     "Z",
     "holonomy_residual",
@@ -251,13 +252,8 @@ def closed_form_family(f: int) -> SphericalQuad:
     if f < 16 or f % 8:
         raise GeometryError(
             f"closed_form_family requires f divisible by 8, f >= 16, got {f}")
-    cal_a = 4.0 * math.pi / f
-    cos_a2 = math.cos(cal_a) ** 2
-    cos_a = (4.0 * cos_a2 + _SQRT5 - 3.0) / (4.0 * cos_a2)
-    cos_b = (-(_SQRT5 - 3.0) * cos_a2 + _SQRT5 - 2.0) / math.cos(cal_a)
-    cos_c = (_SQRT5 - 1.0) / (4.0 * math.cos(cal_a))
     q = SphericalQuad(
-        math.acos(cos_a), math.acos(cos_b), math.acos(cos_c),
+        *(math.acos(x) for x in _family_cosines(f)),
         math.pi - 8.0 * math.pi / f,
         math.pi / 2.0 + 4.0 * math.pi / f,
         math.pi / 2.0,
@@ -276,17 +272,13 @@ def closed_form_cube_subdivision(delta: float) -> SphericalQuad:
         raise GeometryError(
             f"delta = {delta!r} outside (pi/4, 3pi/4)")
     for excl, pair in ((0.5, "b = c"),
-                       (CUBE_EXCLUSION_AB, "a = b"),
-                       (CUBE_EXCLUSION_AC, "a = c")):
+                       (_CUBE_EXCLUSION_AB, "a = b"),
+                       (_CUBE_EXCLUSION_AC, "a = c")):
         if abs(delta / math.pi - excl) < TOL_DEGENERATE:
             raise DegeneracyError(
                 f"delta = {excl}*pi is the {pair} degeneracy")
-    s, c = math.sin(delta), math.cos(delta)
-    root = math.sqrt(3.0 * s * s - 1.0)
     q = SphericalQuad(
-        math.acos(root / (math.sqrt(3.0) * s)),
-        math.acos((root + c) / (2.0 * s)),
-        math.acos((root - c) / (2.0 * s)),
+        *(math.acos(x) for x in _cube_cosines(delta)),
         2.0 * math.pi / 3.0,
         math.pi - delta,
         math.pi / 2.0,
@@ -296,12 +288,8 @@ def closed_form_cube_subdivision(delta: float) -> SphericalQuad:
     return q
 
 
-#: delta/pi values where the cube-subdivision family degenerates
-CUBE_EXCLUSION_AB = 0.4322221997677038
-CUBE_EXCLUSION_AC = 0.5677778002322962
-
-
-def _cube_quad_unchecked(delta: float) -> tuple[float, float, float]:
+def _cube_cosines(delta: float) -> tuple[float, float, float]:
+    """cos a, cos b, cos c of the cube-subdivision quad at delta."""
     s, c = math.sin(delta), math.cos(delta)
     root = math.sqrt(3.0 * s * s - 1.0)
     return (root / (math.sqrt(3.0) * s),
@@ -310,6 +298,7 @@ def _cube_quad_unchecked(delta: float) -> tuple[float, float, float]:
 
 
 def _family_cosines(f: float) -> tuple[float, float, float]:
+    """cos a, cos b, cos c of the earth-map family quad at f tiles."""
     cal_a = 4.0 * math.pi / f
     cos_a2 = math.cos(cal_a) ** 2
     return ((4.0 * cos_a2 + _SQRT5 - 3.0) / (4.0 * cos_a2),
@@ -328,16 +317,12 @@ def degeneracy_loci() -> dict[str, float]:
     def fam(i, j):
         return lambda f: _family_cosines(f)[i] - _family_cosines(f)[j]
 
-    def cube(i, j):
-        return lambda d: (_cube_quad_unchecked(d * math.pi)[i]
-                          - _cube_quad_unchecked(d * math.pi)[j])
-
     return {
         "family a=b": _bisect(fam(0, 1), 6.2, 7.5, xtol=1e-14),
         "family a=c": _bisect(fam(0, 2), 13.0, 14.5, xtol=1e-14),
         "family b=c": _bisect(fam(1, 2), 9.0, 11.0, xtol=1e-14),
-        "cube a=b": _bisect(cube(0, 1), 0.35, 0.49, xtol=1e-15),
-        "cube a=c": _bisect(cube(0, 2), 0.51, 0.65, xtol=1e-15),
+        "cube a=b": _CUBE_EXCLUSION_AB,
+        "cube a=c": _CUBE_EXCLUSION_AC,
     }
 
 
@@ -356,6 +341,19 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _cube_root(i: int, j: int, lo: float, hi: float) -> float:
+    """delta/pi in [lo, hi] where cube-subdivision edges i and j coincide."""
+    def gap(d: float) -> float:
+        cosines = _cube_cosines(d * math.pi)
+        return cosines[i] - cosines[j]
+    return _bisect(gap, lo, hi, xtol=1e-15)
+
+
+#: delta/pi values where the cube-subdivision family has a = b or a = c
+_CUBE_EXCLUSION_AB = _cube_root(0, 1, 0.35, 0.49)
+_CUBE_EXCLUSION_AC = _cube_root(0, 2, 0.51, 0.65)
 
 
 # ---------------------------------------------------------------------------
@@ -449,34 +447,17 @@ def lune_quad(
 # Convexity bounds
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConvexityReport:
-    checks: list[tuple[str, bool]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    @property
-    def violations(self) -> list[str]:
-        return [name for name, ok in self.checks if not ok]
-
-
-def convexity_bounds(q: SphericalQuad, f: int) -> ConvexityReport:
+def convexity_bounds(q: SphericalQuad, f: int) -> CheckReport:
     """Angle lower bounds and lune estimates for a convex tile: every angle
     exceeds 2pi/f, and gamma + delta < pi + beta, gamma + beta < pi + delta."""
     if any(v >= math.pi for v in q.angles):
         raise GeometryError("convexity bounds require all angles < pi")
-    rep = ConvexityReport()
+    rep = CheckReport()
     lb = 2.0 * math.pi / f
-    for name, v in zip(("alpha", "beta", "gamma", "delta"), q.angles):
-        rep.checks.append((f"{name} > 2*pi/f", v > lb))
-    rep.checks.append(
-        ("gamma + delta < pi + beta",
-         q.gamma + q.delta < math.pi + q.beta))
-    rep.checks.append(
-        ("gamma + beta < pi + delta",
-         q.gamma + q.beta < math.pi + q.delta))
+    for name, v in zip(ANGLE_NAMES, q.angles):
+        rep.add(f"{name} > 2*pi/f", v > lb)
+    rep.add("gamma + delta < pi + beta", q.gamma + q.delta < math.pi + q.beta)
+    rep.add("gamma + beta < pi + delta", q.gamma + q.beta < math.pi + q.delta)
     return rep
 
 
@@ -523,13 +504,6 @@ def _triad(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     e2 = u2 - np.dot(u1, u2) * u1
     e2 = e2 / np.linalg.norm(e2)
     return np.column_stack([e1, e2, np.cross(e1, e2)])
-
-
-def _corner_angle(prev: np.ndarray, at: np.ndarray, nxt: np.ndarray) -> float:
-    tp = prev - np.dot(at, prev) * at
-    tn = nxt - np.dot(at, nxt) * at
-    cosang = np.dot(tp, tn) / (np.linalg.norm(tp) * np.linalg.norm(tn))
-    return math.acos(min(1.0, max(-1.0, float(cosang))))
 
 
 def realize(m: TilingMap, q: SphericalQuad,
@@ -603,14 +577,18 @@ def realize(m: TilingMap, q: SphericalQuad,
             f"realization does not close: vertex {worst_vertex} gap "
             f"{worst:.3e} exceeds {tol:.0e}", worst_vertex, worst)
 
-    total_area = 0.0
-    for corners in world:
-        assert corners is not None
-        angle_sum = sum(
-            _corner_angle(corners[(i - 1) % 4], corners[i],
-                          corners[(i + 1) % 4])
-            for i in range(4))
-        total_area += angle_sum - 2.0 * math.pi
+    # signed interior angle at every corner: the turn from the tangent
+    # towards the next corner to the tangent towards the previous one,
+    # counterclockwise about the outward normal (clockwise on mirrored
+    # tiles), in [0, 2pi) so that a reflex corner counts as such
+    pts = np.array(world)  # (tile, corner, xyz)
+    prev, nxt = np.roll(pts, 1, axis=1), np.roll(pts, -1, axis=1)
+    t_prev = prev - (pts * prev).sum(-1, keepdims=True) * pts
+    t_next = nxt - (pts * nxt).sum(-1, keepdims=True) * pts
+    sign = 1.0 - 2.0 * np.array(m.orient, dtype=float)[:, None]
+    angles = np.arctan2(sign * (pts * np.cross(t_next, t_prev)).sum(-1),
+                        (t_next * t_prev).sum(-1)) % (2.0 * math.pi)
+    total_area = float(angles.sum()) - 2.0 * math.pi * m.f
     if abs(total_area - 4.0 * math.pi) > tol:
         raise ClosureError(
             f"tile areas sum to {total_area!r}, not 4*pi", -1,

@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .tilingmap import CORNER_NAMES, EDGE_LABELS, TilingMap
+from .angles import ANGLE_NAMES
+from .tilingmap import EDGE_LABELS, TilingMap
 
 __all__ = [
     "MapAutomorphism",
@@ -22,9 +23,6 @@ __all__ = [
     "vertex_bisecting_cycles",
     "classify",
 ]
-
-_ANGLE_OF_CORNER = {"A": "alpha", "B": "beta", "C": "gamma", "D": "delta"}
-
 
 @dataclass(frozen=True)
 class MapAutomorphism:
@@ -146,7 +144,7 @@ def _vertex_fans(m: TilingMap) -> list[list[tuple[int, str, str]]]:
         for s in orbit:
             edge = (min(s, m.glue[s]), max(s, m.glue[s]))
             label = EDGE_LABELS[s % 4]
-            wedge = _ANGLE_OF_CORNER[CORNER_NAMES[m.dart_start_corner(s)]]
+            wedge = ANGLE_NAMES[m.dart_start_corner(s)]
             fan.append((edge, label, wedge))
         fans.append(fan)
     return fans

@@ -17,8 +17,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .angles import VertexSignature
 from .combinatorics import (
-    CountingReport,
+    CheckReport,
     DegreeVector,
+    catalog_sort_key,
     counting_identities,
     parity_admissible,
 )
@@ -37,14 +38,13 @@ __all__ = [
     "build",
     "extract_avc",
     "verify",
-    "VerifyReport",
+    "format_avc",
     "balance_pair_counts",
 ]
 
 SLOT_NAMES = ("AB", "BC", "CD", "DA")
 EDGE_LABELS = ("a", "b", "c", "a")
 CORNER_NAMES = ("A", "B", "C", "D")
-CORNER_ANGLES = ("alpha", "beta", "gamma", "delta")
 
 
 class TilingError(ValueError):
@@ -349,38 +349,13 @@ def balance_pair_counts(m: TilingMap) -> tuple[int, int, int, int, int, int]:
     )
 
 
-@dataclass
-class VerifyReport:
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    @property
-    def failures(self) -> list[str]:
-        return [f"{name}: {detail}" for name, ok, detail in self.checks
-                if not ok]
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, ok, detail))
-
-    def __str__(self) -> str:
-        lines = []
-        for name, ok, detail in self.checks:
-            mark = "PASS" if ok else "FAIL"
-            suffix = f" ({detail})" if detail and not ok else ""
-            lines.append(f"[{mark}] {name}{suffix}")
-        return "\n".join(lines)
-
-
 def verify(
     m: TilingMap,
     expected: Mapping[VertexSignature, int] | Iterable[VertexSignature],
     f: int | None = None,
-) -> VerifyReport:
+) -> CheckReport:
     """Full verification: structure, AVC match, parity, counting, balance."""
-    report = VerifyReport()
+    report = CheckReport()
     if f is not None:
         report.add("tile count", m.f == f, f"map has f={m.f}, expected {f}")
 
@@ -396,7 +371,7 @@ def verify(
     if isinstance(expected, Mapping):
         exp_counter = Counter(dict(expected))
         ok = avc == exp_counter
-        detail = f"got {_avc_str(avc)}, expected {_avc_str(exp_counter)}"
+        detail = f"got {format_avc(avc)}, expected {format_avc(exp_counter)}"
     else:
         exp_set = set(expected)
         ok = set(avc) == exp_set
@@ -433,7 +408,7 @@ def _edge_counts_ok(m: TilingMap) -> bool:
             and counts["c"] == m.f // 2)
 
 
-def _avc_str(avc: Mapping[VertexSignature, int]) -> str:
-    from .combinatorics import catalog_sort_key
+def format_avc(avc: Mapping[VertexSignature, int]) -> str:
+    """Signatures with multiplicities in catalog order, e.g. ``α³×8 γ⁴×6``."""
     items = sorted(avc.items(), key=lambda kv: catalog_sort_key(kv[0]))
     return " ".join(f"{sig}×{n}" for sig, n in items)

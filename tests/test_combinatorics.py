@@ -13,7 +13,9 @@ from quadtile.combinatorics import (
     DegreeVector,
     KNOWN_UNREALIZABLE,
     angles_feasible,
+    CheckReport,
     avc_feasibility,
+    catalog_sort_key,
     counting_identities,
     degree_vertex_catalog,
     parity_admissible,
@@ -122,6 +124,24 @@ class TestCounting:
         assert counting_identities(dv).passed
 
 
+class TestCheckReport:
+    def test_failures_and_text(self):
+        # [TRIVIAL] a failure reads "name: detail", or "name" without a
+        # detail; the text shows a detail only on failed checks
+        rep = CheckReport()
+        rep.add("one", True, "unused")
+        rep.add("two", False)
+        rep.add("three", False, "why")
+        assert not rep.passed
+        assert rep.failures == ["two", "three: why"]
+        assert str(rep) == "[PASS] one\n[FAIL] two\n[FAIL] three (why)"
+
+    def test_counting_report(self):
+        # [TRIVIAL] an Euler violation names its identity without a detail
+        rep = counting_identities(DegreeVector(f=10, v={3: 9, 5: 2}))
+        assert "v - e + f = 2" in rep.failures
+
+
 class TestFeasibility:
     def test_pq16_multiplicities(self):
         # [PAPER] f=16: ab2 x8, a2d2 x4, g4 x4, d4 x2
@@ -137,6 +157,18 @@ class TestFeasibility:
             for i in range(4):
                 assert sum(s.exponents[i] * n for s, n in counts.items()) == 16
             assert sum(counts.values()) == 18
+
+    def test_catalog_order(self):
+        # [DERIVED] vectors come in ascending lexicographic order of their
+        # multiplicities read in catalog order (by degree, then descending
+        # exponents: a3, bgd, a6, b2g2d2); the AVC search keeps the first
+        support = [sig("b2g2d2"), sig("a6"), sig("bgd"), sig("a3")]
+        order = sorted(support, key=catalog_sort_key)
+        for all_used, count in ((True, 3), (False, 5)):
+            mults = avc_feasibility(support, 24, require_all_used=all_used)
+            rows = [[counts[s] for s in order] for counts in mults]
+            assert len(rows) == count
+            assert rows == sorted(rows)
 
     def test_angles_feasible(self):
         # [DERIVED] pq family feasible at f=16; {ab2, ad2, g4} forces

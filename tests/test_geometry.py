@@ -35,6 +35,10 @@ from quadtile.geometry import (
 
 S5 = math.sqrt(5.0)
 
+#: an edge solution with a reflex gamma that fits earth_map(8)'s AVC
+REFLEX_QUAD = solve_edges(math.pi / 2, math.pi / 20, 3 * math.pi / 2,
+                          9 * math.pi / 20)[0]
+
 
 class TestClosedForms:
     def test_f24_edges(self):
@@ -213,6 +217,15 @@ class TestRealize:
         with pytest.raises((ClosureError, GeometryError)):
             realize(pq_earth_map(24), bad)
 
+    def test_reflex_tile(self):
+        # [DERIVED] a tile with one reflex angle (gamma = 3pi/2) realizes
+        # the f=8 earth map: the signed interior angles of every tile add
+        # up to the sphere's area
+        assert REFLEX_QUAD.reflex_count() == 1
+        real = realize(earth_map(8), REFLEX_QUAD)
+        assert real.max_mismatch < 1e-6
+        assert real.area_sum == pytest.approx(4 * math.pi, abs=1e-6)
+
     def test_wrong_family_quad_fails(self):
         # [DERIVED] the f=16 quad cannot realize the f=24 map
         with pytest.raises((ClosureError, GeometryError)):
@@ -244,6 +257,23 @@ class TestExport:
 
 class TestConvexity:
     def test_family_quad_convex(self):
-        # [DERIVED] the f=24 family quad has no reflex angles
+        # [DERIVED] the f=24 family quad has no reflex angles and meets all
+        # six bounds
         rep = convexity_bounds(closed_form_family(24), 24)
-        assert rep is not None
+        assert rep.passed and rep.failures == []
+        lines = str(rep).splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("[PASS] ") for line in lines)
+
+    def test_angle_at_lower_bound_fails(self):
+        # [DERIVED] the f=24 family quad has delta = 8pi/24 = 2pi/6, so it
+        # cannot tile with f=6: that angle bound fails and only that one
+        rep = convexity_bounds(closed_form_family(24), 6)
+        assert not rep.passed
+        assert rep.failures == ["delta > 2*pi/f"]
+        assert "[FAIL] delta > 2*pi/f" in str(rep).splitlines()
+
+    def test_reflex_quad_rejected(self):
+        # [TRIVIAL] the bounds are stated for convex tiles only
+        with pytest.raises(GeometryError):
+            convexity_bounds(REFLEX_QUAD, 8)
