@@ -184,7 +184,8 @@ def solve_edges(
 ) -> list[SphericalQuad]:
     """Edge lengths from angles: solve the quadratic for cos a (both roots),
     derive cos b and cos c from the linear relations, and keep candidates
-    whose cosines lie in [-1, 1] and whose holonomy residual is < 1e-9."""
+    whose cosines lie in [-1, 1], whose edges are all shorter than pi by
+    more than ``TOL_DEGENERATE`` and whose holonomy residual is < 1e-9."""
     for name, v in (("alpha", alpha), ("beta", beta),
                     ("gamma", gamma), ("delta", delta)):
         if not 0.0 < v < 2.0 * math.pi:
@@ -227,7 +228,8 @@ def solve_edges(
         cb = min(1.0, max(-1.0, cb))
         cc = min(1.0, max(-1.0, cc))
         lengths = tuple(math.acos(v) for v in (ca, cb, cc))
-        if any(not 0.0 < v < 2.0 * math.pi for v in lengths):
+        # an edge of length pi joins antipodal corners: no proper tile
+        if any(not 0.0 < v < math.pi - TOL_DEGENERATE for v in lengths):
             continue
         q = SphericalQuad(*lengths, alpha, beta, gamma, delta)
         if holonomy_residual(q) < TOL_ALGEBRAIC:

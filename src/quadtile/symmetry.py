@@ -9,9 +9,8 @@ therefore a faithful model of the tiling's isometry group on the sphere.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import math
+from dataclasses import dataclass
 
 from .angles import ANGLE_NAMES
 from .tilingmap import EDGE_LABELS, TilingMap
@@ -41,10 +40,18 @@ class MapAutomorphism:
             p == i for i, p in enumerate(self.perm))
 
     def order(self) -> int:
-        k, g = 1, self
-        while not g.is_identity:
-            g = g.compose(self)
-            k += 1
+        """The lcm of the permutation's cycle lengths, made even when the
+        element reverses orientation."""
+        k = 2 if self.reversing else 1
+        seen = [False] * len(self.perm)
+        for start in range(len(self.perm)):
+            length, t = 0, start
+            while not seen[t]:
+                seen[t] = True
+                t = self.perm[t]
+                length += 1
+            if length:
+                k = math.lcm(k, length)
         return k
 
     def compose(self, other: "MapAutomorphism") -> "MapAutomorphism":
@@ -63,8 +70,10 @@ class MapAutomorphism:
         """Image of a dart (slot labels are preserved)."""
         return 4 * self.perm[s // 4] + s % 4
 
-    def fixed_cells(self, m: TilingMap) -> set[tuple]:
-        """Tiles, edges and vertices mapped to themselves."""
+    def fixed_cells(self, m: TilingMap,
+                    vmap: dict[int, int] | None = None) -> set[tuple]:
+        """Tiles, edges and vertices mapped to themselves.  ``vmap`` is
+        ``m.vertex_of_slot()``, passed in when it is already built."""
         cells: set[tuple] = set()
         for t in range(m.f):
             if self.perm[t] == t:
@@ -72,7 +81,8 @@ class MapAutomorphism:
         for (s1, s2) in m.edges():
             if {self.dart(s1), self.dart(s2)} == {s1, s2}:
                 cells.add(("edge", (s1, s2)))
-        vmap = m.vertex_of_slot()
+        if vmap is None:
+            vmap = m.vertex_of_slot()
         for v, orbit in enumerate(m._orbits):
             if all(vmap[self.dart(s)] == v for s in orbit):
                 cells.add(("vertex", v))
@@ -82,20 +92,33 @@ class MapAutomorphism:
 def automorphisms(m: TilingMap) -> list[MapAutomorphism]:
     """The full automorphism group, by seeded propagation.
 
-    For each candidate image of tile 0 (with either orientation type), the
-    permutation is forced edge-by-edge; a candidate survives iff the forced
-    map is a bijection commuting with the gluing.
+    An automorphism is fixed by the image of tile 0, and the orientation
+    bits of tile 0 and its image say whether it reverses orientation.  For
+    each candidate image not yet reached, the permutation is forced
+    edge-by-edge; a candidate survives iff the forced map is a bijection
+    commuting with the gluing.  Each survivor is a new generator, and the
+    group found so far is closed under composition with the generators, so
+    only a few images need the propagation.
     """
-    out = []
+    # image of tile 0 -> element
+    group = {0: MapAutomorphism(tuple(range(m.f)), False)}
+    gens: list[MapAutomorphism] = []
     for target in range(m.f):
-        for reversing in (False, True):
-            if m.orient[target] != m.orient[0] ^ reversing:
-                continue
-            perm = _propagate(m, target, reversing)
-            if perm is not None:
-                out.append(MapAutomorphism(perm, reversing))
-    out.sort(key=lambda g: (g.reversing, g.perm))
-    return out
+        if target in group:
+            continue
+        reversing = m.orient[target] != m.orient[0]
+        perm = _propagate(m, target, reversing)
+        if perm is None:
+            continue
+        gens.append(MapAutomorphism(perm, reversing))
+        queue = list(group.values())
+        for g in queue:  # grows while it is walked
+            for s in gens:
+                h = s.compose(g)
+                if h.perm[0] not in group:
+                    group[h.perm[0]] = h
+                    queue.append(h)
+    return sorted(group.values(), key=lambda g: (g.reversing, g.perm))
 
 
 def _propagate(
@@ -254,8 +277,7 @@ class SymmetryClass:
         return f"{self.name}, order {self.order}"
 
 
-def _count_threefold_axes(preserving: list[MapAutomorphism]) -> int:
-    order3 = [g for g in preserving if g.order() == 3]
+def _count_threefold_axes(order3: list[MapAutomorphism]) -> int:
     # each 3-fold axis carries two rotations (g, g^2)
     axes = set()
     for g in order3:
@@ -272,15 +294,21 @@ def classify(m: TilingMap) -> SymmetryClass:
     preserving = [g for g in group if not g.reversing]
     reversing = [g for g in group if g.reversing]
     np_ = len(preserving)
+    orders = [g.order() for g in preserving]
 
-    rev_involutions = [g for g in reversing if g.order() == 2]
-    mirrors = [g for g in rev_involutions
-               if any(kind == "edge" for kind, _ in g.fixed_cells(m))]
-    inversion = [g for g in rev_involutions if not g.fixed_cells(m)]
-    has_inv = bool(inversion)
+    vmap = m.vertex_of_slot()
+    mirrors, has_inv = [], False
+    for g in reversing:
+        if g.order() != 2:
+            continue
+        cells = g.fixed_cells(m, vmap)
+        if any(kind == "edge" for kind, _ in cells):
+            mirrors.append(g)
+        has_inv = has_inv or not cells
 
     # polyhedral rotation groups
-    if np_ in (12, 24, 60) and _count_threefold_axes(preserving) >= 4:
+    order3 = [g for g, k in zip(preserving, orders) if k == 3]
+    if np_ in (12, 24, 60) and _count_threefold_axes(order3) >= 4:
         base = {12: "T", 24: "O", 60: "I"}[np_]
         if not reversing:
             name = base
@@ -294,8 +322,8 @@ def classify(m: TilingMap) -> SymmetryClass:
             paper_label=name, mirror_count=len(mirrors),
             has_inversion=has_inv)
 
-    n = max((g.order() for g in preserving), default=1)
-    principal = next((g for g in preserving if g.order() == n), None)
+    n = max(orders, default=1)
+    principal = next((g for g, k in zip(preserving, orders) if k == n), None)
 
     if n < 2 or not mirrors:
         horizontal = []

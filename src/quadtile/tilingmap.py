@@ -185,44 +185,98 @@ class TilingMap:
     # -- canonical form ---------------------------------------------------
 
     def canonical_form(self) -> tuple:
-        """Minimal lexicographic relabeling over seed tiles and mirroring."""
-        best = None
-        for seed in range(self.f):
+        """Minimal relabeling over seed tiles and mirroring.
+
+        The form is ``(f, glue_desc, orient_desc)``, minimised
+        lexicographically over every (seed, flip) pair.  A pair relabels the
+        tiles in breadth-first order from ``seed`` (new label 0), visiting
+        each tile's slots in canonical order AB, BC, CD, DA; ``glue_desc``
+        lists, per relabelled tile and canonical slot, the pair (new label
+        of the partner tile, canonical slot of the partner), and
+        ``orient_desc`` the orientation bits in new-label order.  With
+        ``flip`` set, canonical slot p is original slot 3 - p, so the slots
+        are renamed AB<->DA and BC<->CD (beta<->delta, b<->c) and every
+        orientation bit is toggled.  Flipping every orientation bit alone
+        (the mirror image) is not one of these relabelings: a chiral map
+        and its mirror image have different forms.
+
+        Not every pair is relabeled in full (after nauty's automorphism
+        pruning, McKay & Piperno 2014).  Each pair streams its glue_desc
+        and stops at the first entry above the best form so far; orient_desc
+        is compared only after glue_desc ties.  A full tie between pairs
+        (s, x) and (s', x') is a symmetry of the map: tile order[i] goes to
+        order'[i], with mirror bit x ^ x'.  Every such symmetry merges the
+        (tile, flip) nodes it relates in a union-find, and a pair whose
+        component already holds a relabeled pair is skipped, since pairs in
+        one orbit of the symmetries give the same form.  The result is the
+        minimum over all pairs, as if each were relabeled in full.
+        """
+        f, glue, orient = self.f, self.glue, self.orient
+        # union-find over nodes 2 * tile + flip; ``done[root]`` marks a
+        # component that holds an already relabeled pair
+        parent = list(range(2 * f))
+        done = [False] * (2 * f)
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def relabel(seed: int, flip: int, best: list[int]):
+            """(glue_desc codes, tile order, whether the codes tie best), or
+            None once a code exceeds best's."""
+            pos = (3, 2, 1, 0) if flip else (0, 1, 2, 3)
+            new_of = [-1] * f
+            new_of[seed] = 0
+            order = [seed]
+            codes: list[int] = []  # entry (label, p) as 4 * label + p
+            tied = bool(best)
+            for t in order:  # grows while it is walked: breadth-first
+                for p in pos:
+                    partner = glue[4 * t + p]
+                    label = new_of[partner >> 2]
+                    if label < 0:
+                        label = new_of[partner >> 2] = len(order)
+                        order.append(partner >> 2)
+                    code = 4 * label + pos[partner & 3]
+                    if tied:
+                        if code > best[len(codes)]:
+                            return None
+                        tied = code == best[len(codes)]
+                    codes.append(code)
+            return codes, order, tied
+
+        best: list[int] = []
+        best_orient: list[int] = []
+        best_order: list[int] = []
+        best_flip = 0
+        for seed in range(f):
             for flip in (0, 1):
-                form = self._relabel_from(seed, flip)
-                if best is None or form < best:
-                    best = form
-        assert best is not None
-        return best
-
-    def _relabel_from(self, seed: int, flip: int) -> tuple:
-        # canonical slot p of a tile corresponds to original slot mirror(p)
-        # when flip is set (mirror: AB<->DA, BC<->CD)
-        def orig_pos(p: int) -> int:
-            return (3 - p) if flip else p
-
-        new_of: dict[int, int] = {seed: 0}
-        order = [seed]
-        i = 0
-        while i < len(order):
-            t = order[i]
-            i += 1
-            for p in range(4):
-                partner = self.glue[4 * t + orig_pos(p)]
-                t2 = partner // 4
-                if t2 not in new_of:
-                    new_of[t2] = len(order)
-                    order.append(t2)
-        glue_desc = []
-        orient_desc = []
-        for t in order:
-            for p in range(4):
-                partner = self.glue[4 * t + orig_pos(p)]
-                t2, p2 = divmod(partner, 4)
-                canon_p2 = (3 - p2) if flip else p2
-                glue_desc.append((new_of[t2], canon_p2))
-            orient_desc.append(self.orient[t] ^ flip)
-        return (self.f, tuple(glue_desc), tuple(orient_desc))
+                root = find(2 * seed + flip)
+                if done[root]:
+                    continue
+                done[root] = True
+                run = relabel(seed, flip, best)
+                if run is None:
+                    continue
+                codes, order, tied = run
+                bits = [orient[t] ^ flip for t in order]
+                if tied and bits > best_orient:
+                    continue
+                if tied and bits == best_orient:
+                    mirror = flip ^ best_flip
+                    for t, t2 in zip(best_order, order):
+                        for x in (0, 1):
+                            a = find(2 * t + x)
+                            b = find(2 * t2 + (x ^ mirror))
+                            if a != b:
+                                parent[a] = b
+                                done[b] = done[b] or done[a]
+                    continue
+                best, best_orient = codes, bits
+                best_order, best_flip = order, flip
+        return (f, tuple((c >> 2, c & 3) for c in best), tuple(best_orient))
 
     def is_isomorphic(self, other: "TilingMap") -> bool:
         return self.canonical_form() == other.canonical_form()

@@ -124,6 +124,38 @@ class TestSolveEdges:
         with pytest.raises(DegeneracyError):
             solve_edges(1.0, 1.3, 1.0, 1.3)
 
+    @staticmethod
+    def _earth8_grid(i, j):
+        # (alpha, beta, gamma, delta) fitting earth_map(8) on the pi/20 grid
+        beta, gamma = i * math.pi / 20, j * math.pi / 20
+        return solve_edges(math.pi / 2, beta, gamma, 2 * math.pi - beta - gamma)
+
+    @pytest.mark.parametrize("i,j", [(10, 2), (10, 3), (26, 4)])
+    def test_edge_of_length_pi_dropped(self, i, j):
+        # [DERIVED] each of these roots had an edge of length pi (a reflex
+        # gamma between antipodal corners) and realize accepted it
+        assert self._earth8_grid(i, j) == []
+
+    def test_only_degenerate_root_dropped(self):
+        # [DERIVED] at (12, 15) the root a = b = c = pi goes, the proper
+        # one stays
+        roots = self._earth8_grid(12, 15)
+        assert [(round(q.a, 6), round(q.b, 6), round(q.c, 6))
+                for q in roots] == [(1.404476, 0.995282, 0.708353)]
+
+    def test_grid_keeps_every_proper_root(self):
+        # [DERIVED] of the 167 roots on the grid, the 15 with an edge of
+        # length pi go and the 152 others stay
+        roots = []
+        for i in range(1, 40):
+            for j in range(1, 40):
+                try:
+                    roots += self._earth8_grid(i, j)
+                except GeometryError:
+                    continue
+        assert len(roots) == 152
+        assert all(max(q.a, q.b, q.c) < math.pi - 1e-9 for q in roots)
+
 
 class TestDegeneracyLoci:
     def test_loci(self):

@@ -43,6 +43,19 @@ class TestGroupStructure:
         for g in group:
             assert len(group) % g.order() == 0
 
+    @pytest.mark.parametrize("m", [
+        quad_subdivide("cube"), pq_earth_map(16), earth_map(8),
+        family_alphadelta(24), family_beta2delta(24)],
+        ids=["cube", "pq16", "em8", "alphadelta24", "beta2delta24"])
+    def test_order_by_definition(self, m):
+        # [DERIVED] order() is the least k >= 1 with g^k the identity
+        for g in automorphisms(m):
+            k, power = 1, g
+            while not power.is_identity:
+                power = power.compose(g)
+                k += 1
+            assert g.order() == k
+
 
 class TestClassification:
     @pytest.mark.parametrize("f", [8, 10, 12, 50])
