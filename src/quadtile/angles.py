@@ -117,6 +117,14 @@ class VertexSignature:
     c: int
     d: int
 
+    def __post_init__(self) -> None:
+        # signatures key the AVC search's caches and dicts, so the hash
+        # (the dataclass one, of the exponent tuple) is computed once
+        object.__setattr__(self, "_hash", hash(self.exponents))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def degree(self) -> int:
         return self.a + self.b + self.c + self.d

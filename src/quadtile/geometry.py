@@ -11,7 +11,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -497,15 +497,24 @@ def _boundary_polygon(q: SphericalQuad, mirror: bool) -> list[np.ndarray]:
                 -p * math.sin(length) + t * math.cos(length))
         pts.append(p)
         turn = sign * (math.pi - angle)
-        t = t * math.cos(turn) + np.cross(p, t) * math.sin(turn)
+        t = t * math.cos(turn) + np.array(_cross(p, t)) * math.sin(turn)
     return pts
 
 
+def _cross(a: Sequence[float], b: Sequence[float]) -> list[float]:
+    """a x b for 3-vectors, in the operand order of ``np.cross``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
 def _triad(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    e1 = u1
-    e2 = u2 - np.dot(u1, u2) * u1
-    e2 = e2 / np.linalg.norm(e2)
-    return np.column_stack([e1, e2, np.cross(e1, e2)])
+    """Orthonormal frame with columns u1, the unit part of u2 normal to u1,
+    and their cross product."""
+    v = u2 - np.dot(u1, u2) * u1
+    v = (v / math.sqrt(np.dot(v, v))).tolist()
+    u = u1.tolist()
+    return np.array(list(zip(u, v, _cross(u, v))))
 
 
 def realize(m: TilingMap, q: SphericalQuad,
@@ -518,45 +527,45 @@ def realize(m: TilingMap, q: SphericalQuad,
     1e-6), and the total spherical area of the tiles must be 4pi within
     ``tol``.
     """
-    report = verify(m, extract_avc(m))
+    avc = extract_avc(m)
+    report = verify(m, avc)
     if not report.passed:
         raise GeometryError(f"map fails verification: {report.failures}")
-    for v in m.vertices:
-        sig = v.signature
+    for sig in avc:  # in the order of the vertices
         total = sum(e * ang for e, ang in zip(sig.exponents, q.angles))
         if abs(total - 2.0 * math.pi) > TOL_ALGEBRAIC:
             raise GeometryError(
                 f"vertex {sig} angle sum {total!r} != 2*pi: quad is "
                 f"incompatible with this map's AVC")
 
-    base = _boundary_polygon(q, mirror=False)
-    mirr = _boundary_polygon(q, mirror=True)
+    # corners of the canonical tile and its mirror image, and the
+    # transposed frame of each of their edges, by (orientation, corner)
+    canonical = (_boundary_polygon(q, mirror=False),
+                 _boundary_polygon(q, mirror=True))
+    frames = {(o, c): _triad(pts[c], pts[(c + 1) % 4]).T
+              for o, pts in enumerate(canonical) for c in range(4)}
     vmap = m.vertex_of_slot()
-
-    def vertex_id(t: int, corner: int) -> int:
-        pos = corner if m.orient[t] == 0 else (corner - 1) % 4
-        return vmap[4 * t + pos]
+    tile_corners = tuple(
+        tuple(vmap[4 * t + (c - o) % 4] for c in range(4))
+        for t, o in enumerate(m.orient))
 
     coords: dict[int, np.ndarray] = {}
     world: list[list[np.ndarray] | None] = [None] * m.f
     worst, worst_vertex = 0.0, 0
 
-    def canonical(t: int) -> list[np.ndarray]:
-        return mirr if m.orient[t] else base
-
     def place(t: int, corners: list[np.ndarray]) -> None:
         nonlocal worst, worst_vertex
         world[t] = corners
-        for corner in range(4):
-            v = vertex_id(t, corner)
+        for v, p in zip(tile_corners[t], corners):
             if v in coords:
-                gap = float(np.linalg.norm(coords[v] - corners[corner]))
+                diff = coords[v] - p
+                gap = math.sqrt(diff @ diff)
                 if gap > worst:
                     worst, worst_vertex = gap, v
             else:
-                coords[v] = corners[corner]
+                coords[v] = p
 
-    place(0, list(canonical(0)))
+    place(0, list(canonical[m.orient[0]]))
     queue = deque([0])
     while queue:
         t = queue.popleft()
@@ -565,13 +574,11 @@ def realize(m: TilingMap, q: SphericalQuad,
             t2 = other // 4
             if world[t2] is not None:
                 continue
-            pos2 = other % 4
-            quad_pts = canonical(t2)
-            c1, c2 = pos2, (pos2 + 1) % 4
-            w1 = coords[vertex_id(t2, c1)]
-            w2 = coords[vertex_id(t2, c2)]
-            R = _triad(w1, w2) @ _triad(quad_pts[c1], quad_pts[c2]).T
-            place(t2, [R @ quad_pts[corner] for corner in range(4)])
+            c1 = other % 4
+            w1 = coords[tile_corners[t2][c1]]
+            w2 = coords[tile_corners[t2][(c1 + 1) % 4]]
+            R = _triad(w1, w2) @ frames[m.orient[t2], c1]
+            place(t2, [R @ p for p in canonical[m.orient[t2]]])
             queue.append(t2)
 
     if worst > tol:
@@ -600,10 +607,8 @@ def realize(m: TilingMap, q: SphericalQuad,
     return Realization(
         map=m,
         quad=q,
-        coords=tuple(tuple(float(x) for x in coords[v]) for v in range(nv)),
-        tile_corners=tuple(
-            tuple(vertex_id(t, corner) for corner in range(4))
-            for t in range(m.f)),
+        coords=tuple(tuple(coords[v].tolist()) for v in range(nv)),
+        tile_corners=tile_corners,
         max_mismatch=worst,
         area_sum=total_area,
     )
@@ -613,45 +618,69 @@ def realize(m: TilingMap, q: SphericalQuad,
 # Export
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+#: edges per pass of ``_edge_polylines``; keeps its arrays near 100 kB
+_EDGE_CHUNK = 256
 
 
-def _geodesic(p: np.ndarray, r: np.ndarray, samples: int) -> list[np.ndarray]:
-    ang = math.acos(min(1.0, max(-1.0, float(np.dot(p, r)))))
-    out = []
-    for i in range(samples + 1):
-        t = i / samples
-        if ang < 1e-12:
-            out.append(p)
-            continue
-        v = (math.sin((1 - t) * ang) * p + math.sin(t * ang) * r) / math.sin(ang)
-        out.append(v / np.linalg.norm(v))
-    return out
+def _edge_polylines(
+    real: Realization, samples: int
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Geodesic polylines of the edges in ``map.edges()`` order, in chunks:
+    the first slot of each edge and an (edges, samples + 1, 3) array.  For
+    the edge at slot s of tile t this is the slerp from corner
+    ``tile_corners[t][s % 4]`` to the next corner, each sample renormalised;
+    an edge shorter than 1e-12 is that corner repeated.
+
+    Every number is rounded as the per-sample loop this replaced rounded
+    it: dot products go through matmul, which rounds like ``np.dot``, and
+    each edge's angle through ``math.acos``, which ``np.arccos`` does not
+    match.  ``np.sin`` matches ``math.sin`` on the x86-64 hosts tried; the
+    golden digests in ``tests/test_geometry.py`` catch a platform where it
+    does not.
+    """
+    slots = [s for s, _ in real.map.edges()]
+    corners = np.array(real.tile_corners, dtype=np.intp).reshape(-1, 4)
+    coords = np.array(real.coords)
+    tile, pos = divmod(np.array(slots, dtype=np.intp), 4)
+    p = coords[corners[tile, pos]]
+    r = coords[corners[tile, (pos + 1) % 4]]
+    cos = (p[:, None, :] @ r[:, :, None])[:, 0, 0]
+    ang = np.array([math.acos(min(1.0, max(-1.0, x))) for x in cos.tolist()])
+    frac = np.array([i / samples for i in range(samples + 1)])[:, None]
+    for lo in range(0, len(slots), _EDGE_CHUNK):
+        hi = lo + _EDGE_CHUNK
+        a, p0, p1 = ang[lo:hi, None, None], p[lo:hi, None], r[lo:hi, None]
+        flat = a[:, 0, 0] < 1e-12
+        sin = np.sin(a)
+        sin[flat] = 1.0
+        pts = (np.sin((1 - frac) * a) * p0 + np.sin(frac * a) * p1) / sin
+        pts /= np.sqrt(pts[..., None, :] @ pts[..., :, None])[..., 0]
+        pts[flat] = p0[flat]
+        yield slots[lo:hi], pts
 
 
 def export_obj(real: Realization, edge_samples: int = 0) -> str:
     """Wavefront OBJ text: one vertex per map vertex, one quad face per tile;
     with edge_samples > 0, geodesic edge polylines are appended as lines."""
+    # The text is joined from one short string per line (and, in SVG, per
+    # point): short strings come from Python's small-object pools, which
+    # are returned once freed, where longer pieces would leave freed blocks
+    # in the C heap and raise peak memory.
     lines = ["# a2bc quadrilateral tiling realization",
              f"# f = {real.map.f}, vertices = {len(real.coords)}"]
-    for p in real.coords:
-        lines.append("v " + " ".join(_fmt(x) for x in p))
-    for corners in real.tile_corners:
-        lines.append("f " + " ".join(str(c + 1) for c in corners))
+    lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in real.coords]
+    lines += ["f %d %d %d %d" % tuple(c + 1 for c in corners)
+              for corners in real.tile_corners]
     if edge_samples > 0:
-        idx = len(real.coords)
-        for (s1, s2) in real.map.edges():
-            t, pos = s1 // 4, s1 % 4
-            p = real.corner_point(t, pos)
-            r = real.corner_point(t, (pos + 1) % 4)
-            pts = _geodesic(p, r, edge_samples)
-            for v in pts:
-                lines.append("v " + " ".join(_fmt(x) for x in v))
-            lines.append("l " + " ".join(
-                str(idx + i + 1) for i in range(len(pts))))
-            idx += len(pts)
-    return "\n".join(lines) + "\n"
+        idx = len(real.coords) + 1
+        for _, pts in _edge_polylines(real, edge_samples):
+            for row in pts.tolist():
+                lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in row]
+                lines.append("l " + " ".join(map(str, range(idx,
+                                                            idx + len(row)))))
+                idx += len(row)
+    lines.append("")  # the final newline, without copying the text
+    return "\n".join(lines)
 
 
 #: default SVG stroke styling per edge label: plain a, double b, heavy c
@@ -669,31 +698,25 @@ def export_svg(
 ) -> str:
     """Stereographic projection from the south pole as an SVG drawing,
     with stroke classes per edge label (plain a, double b, heavy c)."""
+    if edge_samples < 1:
+        raise ValueError(f"edge_samples must be >= 1, got {edge_samples}")
     half = size / 2.0
     scale = size / 8.0
-
-    def project(p: np.ndarray) -> tuple[float, float]:
-        z = float(p[2])
-        if z < -0.999999:
-            z = -0.999999
-        return (half + scale * float(p[0]) / (1.0 + z),
-                half - scale * float(p[1]) / (1.0 + z))
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f"<style>{style}</style>",
-    ]
-    m = real.map
-    for (s1, s2) in sorted(m.edges()):
-        label = EDGE_LABELS[s1 % 4]
-        t, pos = s1 // 4, s1 % 4
-        p = real.corner_point(t, pos)
-        r = real.corner_point(t, (pos + 1) % 4)
-        pts = [project(v) for v in _geodesic(p, r, edge_samples)]
-        d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
-        parts.append(f'<path class="edge-{label}" d="{d}"/>')
-        if label == "b":
-            parts.append(f'<path class="edge-b-core" d="{d}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        f'height="{size}" viewBox="0 0 {size} {size}">\n'
+        f"<style>{style}</style>"]
+    for slots, pts in _edge_polylines(real, edge_samples):
+        # stereographic projection, kept finite near the south pole
+        denom = 1.0 + np.maximum(pts[..., 2], -0.999999)
+        xs = (half + scale * pts[..., 0] / denom).tolist()
+        ys = (half - scale * pts[..., 1] / denom).tolist()
+        for s1, x, y in zip(slots, xs, ys):
+            label = EDGE_LABELS[s1 % 4]
+            d = [f"M {x[0]:.17g} {y[0]:.17g}"]
+            d += [f" L {u:.17g} {v:.17g}" for u, v in zip(x[1:], y[1:])]
+            parts += [f'\n<path class="edge-{label}" d="', *d, '"/>']
+            if label == "b":
+                parts += ['\n<path class="edge-b-core" d="', *d, '"/>']
+    parts.append("\n</svg>\n")
+    return "".join(parts)

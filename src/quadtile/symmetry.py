@@ -74,17 +74,16 @@ class MapAutomorphism:
                     vmap: dict[int, int] | None = None) -> set[tuple]:
         """Tiles, edges and vertices mapped to themselves.  ``vmap`` is
         ``m.vertex_of_slot()``, passed in when it is already built."""
-        cells: set[tuple] = set()
-        for t in range(m.f):
-            if self.perm[t] == t:
-                cells.add(("tile", t))
-        for (s1, s2) in m.edges():
-            if {self.dart(s1), self.dart(s2)} == {s1, s2}:
+        perm = self.perm
+        image = [4 * p + pos for p in perm for pos in range(4)]  # of darts
+        cells: set[tuple] = {("tile", t) for t in range(m.f) if perm[t] == t}
+        for s1, s2 in enumerate(m.glue):
+            if s1 < s2 and (image[s1], image[s2]) in ((s1, s2), (s2, s1)):
                 cells.add(("edge", (s1, s2)))
         if vmap is None:
             vmap = m.vertex_of_slot()
         for v, orbit in enumerate(m._orbits):
-            if all(vmap[self.dart(s)] == v for s in orbit):
+            if all(vmap[image[s]] == v for s in orbit):
                 cells.add(("vertex", v))
         return cells
 

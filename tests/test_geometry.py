@@ -1,11 +1,13 @@
 """Numeric spherical geometry: closed forms, solver, lune, realization."""
 
+import hashlib
 import math
 import random
 import warnings
 
 import numpy as np
 import pytest
+from test_canonical import relabel
 
 from quadtile.constructors import (
     earth_map,
@@ -309,3 +311,107 @@ class TestConvexity:
         # [TRIVIAL] the bounds are stated for convex tiles only
         with pytest.raises(GeometryError):
             convexity_bounds(REFLEX_QUAD, 8)
+
+
+# ---------------------------------------------------------------------------
+# Golden digests, recorded before export and realize were batched
+# ---------------------------------------------------------------------------
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _fields(real) -> tuple:
+    return (real.coords, real.tile_corners, repr(real.max_mismatch),
+            repr(real.area_sum))
+
+
+def _earth8_grid_outcomes() -> list[tuple]:
+    """Per point of the pi/20 (beta, gamma) grid that fits earth_map(8)'s
+    AVC: the exception type of solve_edges, or per root the digest of the
+    realization's fields or the type of its rejection."""
+    m = earth_map(8)
+    out = []
+    for i in range(1, 40):
+        for j in range(1, 40 - i):
+            beta, gamma = i * math.pi / 20, j * math.pi / 20
+            try:
+                roots = solve_edges(math.pi / 2, beta, gamma,
+                                    2 * math.pi - beta - gamma)
+            except GeometryError as exc:
+                out.append((i, j, type(exc).__name__))
+                continue
+            for q in roots:
+                try:
+                    out.append((i, j, _digest(_fields(realize(m, q)))))
+                except GeometryError as exc:
+                    out.append((i, j, type(exc).__name__))
+    return out
+
+
+# f -> digests of the Realization fields, of export_obj and of export_svg
+# (16 edge samples) for relabel(pq_earth_map(f), 7) with the family quad
+PQ_GOLDEN = {
+    256: (
+        "90a5f799211b1b1b1b2fcbf05a8e5e25783765f5f7c7d4c971ae5256895d0383",
+        "b19271a716a3de1e2c9ca3a58bf13c1183e950cc13d5e8317b116b9b605ae832",
+        "72b5af248999190adc8297ad8d48dbff2e51b0373946a1e60c0b4dd26ecc943d"),
+    1024: (
+        "93278e09a5edee6c2fbcf40864bf75f038b1d31574d90529847ea22f3290e506",
+        "7ed7e9ff74e8d5c967d855f8ddc249e0556a1724239c9d90e77fa0cbc74c3866",
+        "d57d27f4ed11b26248378eaf6c39d82bbf04d8361ef1354d7b9698c2c8c44626"),
+}
+
+# delta/pi -> digest of the cube subdivision's Realization fields
+CUBE_GOLDEN = {
+    0.3: "7e5dacec507c2457e85c832c0119cdb3d7fa7027934c340ad3eff1c57aecb409",
+    0.4: "dcc0704bde85af2a4a8f4b01e653498804b6959f3fc294aa4f594739adccde0c",
+    0.6: "104d20f241cc484e06cb3fb623461c0dc21ee88eb79bb85344225346f3f89195",
+    0.7: "68827df7a7f803f61b206a1f5300a3d0f394897f58659e234c902338125c1cc3",
+}
+
+# digest of the perturbed pq_earth_map(24) realization's ClosureError
+CLOSURE_GOLDEN = (
+    "c9acc9b63187877614c18f4103a91e59996cfa8cb655ab0499305fe1436cf481")
+
+# digest of _earth8_grid_outcomes()
+GRID_GOLDEN = (
+    "d6de81ce7c7c802eead106fc0c98cf329b60ad3d94b02713606096124d1ac137")
+
+
+class TestGoldenGeometry:
+    @pytest.mark.parametrize("f", list(PQ_GOLDEN))
+    def test_pq_realize_and_export(self, f):
+        # [DERIVED] every coordinate and every exported character
+        real = realize(relabel(pq_earth_map(f), 7), closed_form_family(f))
+        fields, obj, svg = PQ_GOLDEN[f]
+        assert _digest(_fields(real)) == fields
+        assert _sha(export_obj(real, edge_samples=16)) == obj
+        assert _sha(export_svg(real, edge_samples=16)) == svg
+
+    @pytest.mark.parametrize("delta", list(CUBE_GOLDEN))
+    def test_cube_subdivision(self, delta):
+        q = closed_form_cube_subdivision(delta * math.pi)
+        real = realize(quad_subdivide("cube"), q)
+        assert _digest(_fields(real)) == CUBE_GOLDEN[delta]
+
+    def test_earth8_grid(self):
+        # [DERIVED] accepted roots bit for bit, rejections by type
+        outcomes = _earth8_grid_outcomes()
+        assert sum(len(o[2]) == 64 for o in outcomes) == 152
+        assert _digest(outcomes) == GRID_GOLDEN
+
+    def test_closure_error(self):
+        # [DERIVED] the worst vertex and its gap, from the same propagation
+        q = closed_form_family(24)
+        bad = SphericalQuad(q.a + 0.05, q.b, q.c,
+                            q.alpha, q.beta, q.gamma, q.delta)
+        with pytest.raises(ClosureError) as info:
+            realize(pq_earth_map(24), bad)
+        exc = info.value
+        assert _digest((str(exc), exc.worst_vertex,
+                        repr(exc.gap))) == CLOSURE_GOLDEN
