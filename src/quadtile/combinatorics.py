@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -231,6 +232,35 @@ def _is_known_unrealizable(support: frozenset[VertexSignature]) -> bool:
     return any(bad <= support for bad in KNOWN_UNREALIZABLE)
 
 
+_ANGLE_PAIRS = tuple(itertools.combinations(range(4), 2))
+_DEGREE3_BIT = 1 << 12
+
+
+def _balance_mask(sig: VertexSignature) -> int:
+    """13-bit count-balance mask of a signature: for angle pair k of
+    ``_ANGLE_PAIRS``, bit k is set when the first exponent is larger and bit
+    k + 6 when it is smaller; bit 12 is set when the degree is 3."""
+    e = sig.exponents
+    mask = _DEGREE3_BIT if sig.degree == 3 else 0
+    for k, (i, j) in enumerate(_ANGLE_PAIRS):
+        if e[i] > e[j]:
+            mask |= 1 << k
+        elif e[i] < e[j]:
+            mask |= 1 << (k + 6)
+    return mask
+
+
+def _balanced(mask: int) -> bool:
+    """Whether a support whose masks OR to ``mask`` can pass the count
+    equations with every multiplicity >= 1.
+
+    Sum n_v (x_v - y_v) = 0 for each angle pair (x, y), so the support has
+    either no signature with x != y or ones with x > y and with x < y; and
+    sum n_v (deg_v - 4) = -8, so some signature has degree 3.  This is a
+    necessary condition only."""
+    return bool(mask & _DEGREE3_BIT) and mask & 63 == (mask >> 6) & 63
+
+
 def search_avcs(
     f: int,
     max_degree: int | None = None,
@@ -245,6 +275,11 @@ def search_avcs(
     in (0, 2pi), at most one angle >= pi, beta != delta unless gamma = pi,
     and an all-positive multiplicity vector.  Results are a superset of the
     AVCs of actual tilings; known-untileable combinations are flagged.
+
+    Before any angle work on a support, a count-balance screen (a proved
+    necessary condition for an all-positive multiplicity vector, see
+    ``_balanced``) discards supports whose signatures cannot balance the
+    four angle counts or lack a degree-3 vertex.
     """
     if f < 6 or f % 2:
         raise ValueError(f"f must be even and >= 6, got {f}")
@@ -260,6 +295,8 @@ def search_avcs(
             if max(s.exponents) <= f]
 
     found: dict[tuple, AVCCandidate] = {}
+    mask = {s: _balance_mask(s) for s in low + high}
+    high_mask = functools.reduce(operator.or_, (mask[s] for s in high), 0)
 
     # adding a signature and the witness test depend only on the node's
     # solution set, not on which subset produced it; a node is canonical,
@@ -298,43 +335,56 @@ def search_avcs(
             known_unrealizable=_is_known_unrealizable(support),
         )
 
-    # compatible high signatures (with their statuses) depend only on the
-    # node's solution set, so share them across subsets with equal solutions
-    comp_cache: dict[AffineAngles, tuple] = {}
+    # compatible high signatures (with whether each is redundant) depend
+    # only on the node's solution set, so share them across subsets with
+    # equal solutions
+    comp_cache: dict[AffineAngles, list] = {}
 
-    def _compatible_high(base: AffineAngles):
+    def _compatible_high(base: AffineAngles) -> list:
         if base not in comp_cache:
             compatible = []
-            statuses = {}
             for s in high:
                 status = _node_status(base, s)
                 if status == "redundant" or (
                         status == "pins"
                         and _extend(base, [s]) is not None):
-                    compatible.append(s)
-                    statuses[s] = status
-            comp_cache[base] = (compatible, statuses)
+                    compatible.append((s, mask[s], status == "redundant"))
+            comp_cache[base] = compatible
         return comp_cache[base]
 
-    def extend_high(subset: list[VertexSignature], base) -> None:
-        consider(subset, base)
-        if max_high_subset == 0:
+    def extend_high(subset: list[VertexSignature], base,
+                    subset_mask: int) -> None:
+        if _balanced(subset_mask):
+            consider(subset, base)
+        # high signatures have degree >= 6, so they cannot supply a missing
+        # degree-3 vertex; each pair side the subset lacks must come from them
+        gt, lt = subset_mask & 63, (subset_mask >> 6) & 63
+        missing = (gt & ~lt) << 6 | (lt & ~gt)
+        if (max_high_subset == 0 or not subset_mask & _DEGREE3_BIT
+                or missing & ~high_mask):
             return
         # classify each high signature against the solved base relations:
         # redundant ones keep the solution set, rank-raising ones re-solve
-        compatible, statuses = _compatible_high(base)
+        compatible = _compatible_high(base)
         for r in range(1, max_high_subset + 1):
             for combo in itertools.combinations(compatible, r):
-                if all(statuses[s] == "redundant" for s in combo):
-                    consider(subset + list(combo), base)
+                combo_mask = subset_mask
+                for _, m, _ in combo:
+                    combo_mask |= m
+                if not _balanced(combo_mask):
                     continue
-                node = _extend(base, list(combo))
+                sigs = [s for s, _, _ in combo]
+                if all(redundant for _, _, redundant in combo):
+                    consider(subset + sigs, base)
+                    continue
+                node = _extend(base, sigs)
                 if node is not None:
-                    consider(subset + list(combo), node)
+                    consider(subset + sigs, node)
 
-    def rec_low(start: int, subset: list[VertexSignature], node) -> None:
+    def rec_low(start: int, subset: list[VertexSignature], node,
+                subset_mask: int) -> None:
         if subset:
-            extend_high(subset, node)
+            extend_high(subset, node, subset_mask)
         if len(subset) == max_low_subset:
             return
         for i in range(start, len(low)):
@@ -353,10 +403,10 @@ def search_avcs(
                 if child is None or not _node_witness(child):
                     continue
             subset.append(s)
-            rec_low(i + 1, subset, child)
+            rec_low(i + 1, subset, child, subset_mask | mask[s])
             subset.pop()
 
-    rec_low(0, [], None)
+    rec_low(0, [], None, 0)
     return sorted(found.values(),
                   key=lambda c: (len(c.signatures),
                                  tuple(s.exponents for s in c.signatures)))

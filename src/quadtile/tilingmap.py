@@ -10,6 +10,7 @@ derived dart orbits.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -77,7 +78,7 @@ class VertexCycle:
     def degree(self) -> int:
         return len(self.incidences)
 
-    @property
+    @functools.cached_property
     def signature(self) -> VertexSignature:
         counts = Counter(corner for _, corner in self.incidences)
         return VertexSignature(

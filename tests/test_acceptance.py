@@ -302,11 +302,6 @@ class TestC7Symmetry:
         assert (sc.name, sc.order) == ("C_2", 2)
 
 
-@pytest.fixture(scope="module")
-def search24():
-    return search_avcs(24)
-
-
 class TestC8AVCSearch:
     """Criterion 8: the feasibility search recovers the published AVCs."""
 

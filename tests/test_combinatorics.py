@@ -1,7 +1,9 @@
 """Catalog, parity, counting, and AVC search tests."""
 
+import functools
 import hashlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -20,6 +22,11 @@ from quadtile.combinatorics import (
     degree_vertex_catalog,
     parity_admissible,
     search_avcs,
+)
+from quadtile.combinatorics import (
+    _balance_mask,
+    _balanced,
+    _signatures_of_degree,
 )
 
 
@@ -177,6 +184,51 @@ class TestFeasibility:
         assert not angles_feasible([sig("ab2"), sig("ad2"), sig("g4")], 16)
 
 
+def _support_mask(support) -> int:
+    return functools.reduce(operator.or_, map(_balance_mask, support))
+
+
+class TestBalanceScreen:
+    """The search's count-balance mask is a necessary condition: a support
+    it rejects has no all-positive multiplicity vector."""
+
+    CATALOG = [s for k in (3, 4, 5, 6) for s in _signatures_of_degree(k)]
+
+    def test_mask_bits(self):
+        # [DERIVED] pairs (a,b),(a,c),(a,d),(b,c),(b,d),(c,d): ab2 has
+        # a < b, a > c, a > d, b > c, b > d, c = d, and degree 3
+        assert _balance_mask(sig("ab2")) == \
+            (1 << 12) | (1 << 6) | 0b11110
+        assert _balance_mask(sig("a2b2g2d2")) == 0
+        assert _balanced(_support_mask([sig("a3"), sig("bgd")]))
+        assert not _balanced(_support_mask([sig("a4"), sig("b4")]))
+        assert not _balanced(_support_mask([sig("ab2"), sig("b4")]))
+
+    @pytest.mark.parametrize("f", [12, 24])
+    def test_catalog_subsets(self, f):
+        # [DERIVED] every 1-3-subset of the degree-3..6 catalog
+        rejected = 0
+        for r in (1, 2, 3):
+            for support in itertools.combinations(self.CATALOG, r):
+                if not _balanced(_support_mask(support)):
+                    rejected += 1
+                    assert avc_feasibility(support, f) == [], support
+        assert rejected > 0.9 * sum(
+            len(list(itertools.combinations(self.CATALOG, r)))
+            for r in (1, 2, 3))
+
+    @given(st.integers(3, 20).map(lambda k: 2 * k),
+           st.lists(st.sampled_from(CATALOG + [
+               s for k in (7, 8) for s in _signatures_of_degree(k)]),
+               min_size=1, max_size=5, unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_random_supports(self, f, support):
+        # [DERIVED] random supports of up to 5 signatures at even f in
+        # [6, 40]: rejection implies no multiplicity vector
+        if not _balanced(_support_mask(support)):
+            assert avc_feasibility(support, f) == []
+
+
 class TestSearch:
     def test_f6(self):
         # [PAPER] f=6 contains {a3, bgd}
@@ -238,6 +290,13 @@ class TestGoldenDifferential:
         (14, None): "5403f0b920a19c23fab6947381cb54f9ea2eb6df390d7feab628d80353554f20",
         (16, None): "febf10ef380be35fa0b6732aadcc554a7d88cc3d8d7f20b364ff2535fa390231",
         (24, 6): "dd4cc189ae5d1f36584a3d68a70c3c7ec788cfb2bbd9a06ebe74f5cc9abc0148",
+        # recorded before the count-balance screen was added
+        (18, None): "ae2506e5eada7df04184dd77bc9c81ff5991daf1f437cc43e9b7f4de9ca24882",
+        (20, None): "2eea7fd65d357208ec7af38cc476fffe2638dfa2f8030cb58323f97c1893478b",
+        (22, None): "ae4f11499f358c3d38013e72cbc48c33aa16bf78ee98a81a5f26ff083e13c993",
+        (24, None): "c099b611ee478e56037cfc2ec425096c6987fea0fb647734b0b9422d464b24f9",
+        (30, 7): "66f06b246d21f9c2526005a15ec2ca1c7560ed1ce7672002120f59c929d74757",
+        (32, 6): "c7dd37f7a0117051dc270e1c596920a520d4255928d7d8ce5cc4810cf6218e10",
     }
     SOLVER_DIGESTS = {
         (24, True): "9093fcb6cf5547352240ab29972716464b87b5f99d7e20b08d5b7e382bb7b68f",
@@ -247,10 +306,13 @@ class TestGoldenDifferential:
 
     @pytest.mark.parametrize("f,max_degree", sorted(
         SEARCH_DIGESTS, key=lambda k: k[0]))
-    def test_search(self, f, max_degree):
+    def test_search(self, f, max_degree, request):
         # [DERIVED] candidate lists unchanged: signatures x multiplicities,
         # angle strings and the known-unrealizable flag, in output order
-        cands = search_avcs(f, max_degree=max_degree)
+        if (f, max_degree) == (24, None):
+            cands = request.getfixturevalue("search24")
+        else:
+            cands = search_avcs(f, max_degree=max_degree)
         assert _digest(map(_candidate_line, cands)) == \
             self.SEARCH_DIGESTS[(f, max_degree)]
 
