@@ -39,7 +39,7 @@ from .geometry import (
     realize,
     solve_edges,
 )
-from .symmetry import classify
+from .symmetry import automorphisms, classify
 from .tilingmap import TilingError, TilingMap, extract_avc, format_avc, verify
 
 _FMT = "{:.17g}".format
@@ -62,6 +62,8 @@ def _parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle {text!r}")
     num = float(mobj.group(1)) if mobj.group(1) else 1.0
     den = float(mobj.group(2)) if mobj.group(2) else 1.0
+    if den == 0:
+        raise ValueError(f"zero denominator in angle {text!r}")
     return num * math.pi / den
 
 
@@ -224,7 +226,6 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
         m = _load_map(args.mapfile)
     except (OSError, ValueError, TilingError) as exc:
         return _fail(str(exc), 2)
-    from .symmetry import automorphisms
     sc = classify(m)
     print(str(sc))
     print(f"paper label: {sc.paper_label}")

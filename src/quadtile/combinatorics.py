@@ -261,20 +261,16 @@ def _balanced(mask: int) -> bool:
     return bool(mask & _DEGREE3_BIT) and mask & 63 == (mask >> 6) & 63
 
 
-def search_avcs(
-    f: int,
-    max_degree: int | None = None,
-    max_low_subset: int = 6,
-    max_high_subset: int = 2,
-) -> list[AVCCandidate]:
+def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
     """Enumerate angle- and count-feasible AVCs at a concrete f.
 
-    Subsets of the degree-3/4/5 catalog (at most ``max_low_subset``) are
-    combined with up to ``max_high_subset`` admissible signatures of degree
-    6..max_degree.  A candidate must admit angle values with all four angles
-    in (0, 2pi), at most one angle >= pi, beta != delta unless gamma = pi,
-    and an all-positive multiplicity vector.  Results are a superset of the
-    AVCs of actual tilings; known-untileable combinations are flagged.
+    Subsets of at most 6 signatures of the degree-3/4/5 catalog are combined
+    with at most 2 admissible signatures of degree 6..max_degree (default
+    max(f // 2, 6)).  A candidate must admit angle values with all four
+    angles in (0, 2pi), at most one angle >= pi, beta != delta unless
+    gamma = pi, and an all-positive multiplicity vector.  Results are a
+    superset of the AVCs of actual tilings within these bounds;
+    known-untileable combinations are flagged.
 
     Before any angle work on a support, a count-balance screen (a proved
     necessary condition for an all-positive multiplicity vector, see
@@ -298,21 +294,24 @@ def search_avcs(
     mask = {s: _balance_mask(s) for s in low + high}
     high_mask = functools.reduce(operator.or_, (mask[s] for s in high), 0)
 
-    # adding a signature and the witness test depend only on the node's
-    # solution set, not on which subset produced it; a node is canonical,
-    # so both are cached on the node itself
-    add = functools.cache(_node_add)
     witness = functools.cache(_node_witness)
 
-    def _extend(base: AffineAngles, extra) -> AffineAngles | None:
-        """Node for base+extra if feasible with a positive witness, else
-        None; computed by incremental elimination from the base node."""
-        node = base
-        for s in extra:
-            node = add(node, s)
-            if node is None:
-                return None
-        return node if witness(node) else None
+    @functools.cache
+    def pin(node: AffineAngles | None,
+            s: VertexSignature) -> AffineAngles | None:
+        child = (solve_affine([s], include_quad_sum=True, f=f) if node is None
+                 else node.pin(node.equation(s)))
+        return child if child is not None and witness(child) else None
+
+    def step(node: AffineAngles | None,
+             s: VertexSignature) -> AffineAngles | None:
+        """node with s's equation added: node itself if it is redundant, None
+        if it is infeasible or the pinned node has no witness."""
+        if node is not None:
+            const, *coeffs = node.equation(s)
+            if not any(coeffs):
+                return None if const else node
+        return pin(node, s)
 
     def consider(subset: list[VertexSignature], node: AffineAngles) -> None:
         support = frozenset(subset)
@@ -335,24 +334,11 @@ def search_avcs(
             known_unrealizable=_is_known_unrealizable(support),
         )
 
-    # compatible high signatures (with whether each is redundant) depend
-    # only on the node's solution set, so share them across subsets with
-    # equal solutions
-    comp_cache: dict[AffineAngles, list] = {}
+    # the high signatures compatible with a node depend only on its solution
+    # set, so share them across subsets with equal solutions
+    comp_cache: dict[AffineAngles, list[VertexSignature]] = {}
 
-    def _compatible_high(base: AffineAngles) -> list:
-        if base not in comp_cache:
-            compatible = []
-            for s in high:
-                status = _node_status(base, s)
-                if status == "redundant" or (
-                        status == "pins"
-                        and _extend(base, [s]) is not None):
-                    compatible.append((s, mask[s], status == "redundant"))
-            comp_cache[base] = compatible
-        return comp_cache[base]
-
-    def extend_high(subset: list[VertexSignature], base,
+    def extend_high(subset: list[VertexSignature], base: AffineAngles,
                     subset_mask: int) -> None:
         if _balanced(subset_mask):
             consider(subset, base)
@@ -360,51 +346,35 @@ def search_avcs(
         # degree-3 vertex; each pair side the subset lacks must come from them
         gt, lt = subset_mask & 63, (subset_mask >> 6) & 63
         missing = (gt & ~lt) << 6 | (lt & ~gt)
-        if (max_high_subset == 0 or not subset_mask & _DEGREE3_BIT
-                or missing & ~high_mask):
+        if not subset_mask & _DEGREE3_BIT or missing & ~high_mask:
             return
-        # classify each high signature against the solved base relations:
-        # redundant ones keep the solution set, rank-raising ones re-solve
-        compatible = _compatible_high(base)
-        for r in range(1, max_high_subset + 1):
-            for combo in itertools.combinations(compatible, r):
-                combo_mask = subset_mask
-                for _, m, _ in combo:
-                    combo_mask |= m
-                if not _balanced(combo_mask):
+        if base not in comp_cache:
+            comp_cache[base] = [s for s in high if step(base, s) is not None]
+        for r in (1, 2):
+            for combo in itertools.combinations(comp_cache[base], r):
+                if not _balanced(functools.reduce(
+                        operator.or_, map(mask.get, combo), subset_mask)):
                     continue
-                sigs = [s for s, _, _ in combo]
-                if all(redundant for _, _, redundant in combo):
-                    consider(subset + sigs, base)
-                    continue
-                node = _extend(base, sigs)
-                if node is not None:
-                    consider(subset + sigs, node)
+                node = base
+                for s in combo:
+                    node = step(node, s)
+                    if node is None:
+                        break
+                else:
+                    consider(subset + list(combo), node)
 
-    def rec_low(start: int, subset: list[VertexSignature], node,
-                subset_mask: int) -> None:
+    def rec_low(start: int, subset: list[VertexSignature],
+                node: AffineAngles | None, subset_mask: int) -> None:
         if subset:
             extend_high(subset, node, subset_mask)
-        if len(subset) == max_low_subset:
+        if len(subset) == 6:
             return
-        for i in range(start, len(low)):
-            s = low[i]
-            status = "pins" if node is None else _node_status(node, s)
-            if status == "infeasible":
-                continue
-            if status == "redundant":
-                child = node
-            elif node is not None:
-                child = _extend(node, [s])
-                if child is None:
-                    continue
-            else:
-                child = solve_affine([s], include_quad_sum=True, f=f)
-                if child is None or not _node_witness(child):
-                    continue
-            subset.append(s)
-            rec_low(i + 1, subset, child, subset_mask | mask[s])
-            subset.pop()
+        for i, s in enumerate(low[start:], start):
+            child = step(node, s)
+            if child is not None:
+                subset.append(s)
+                rec_low(i + 1, subset, child, subset_mask | mask[s])
+                subset.pop()
 
     rec_low(0, [], None, 0)
     return sorted(found.values(),
@@ -417,28 +387,17 @@ def search_avcs(
 # with integer rows, den > 0 and gcd(den, all entries) = 1, so a node is its
 # own canonical cache key.  f is concrete, so the free parameters are angles;
 # delta is always a pivot of the quadrilateral sum, so they are drawn from
-# alpha, beta, gamma.  Adding a signature that raises the rank ("pins")
-# eliminates the first free angle, in alpha, beta, gamma order, with a
-# nonzero coefficient in its equation.  Which angles stay free matters: the
-# witness below samples the free angles on a grid.
-
-
-def _node_status(node: AffineAngles, sig: VertexSignature) -> str:
-    """Effect of adding sig's angle-sum equation to a solved system:
-    'redundant' (solution set unchanged), 'infeasible', or 'pins' (the rank
-    increases, so a free angle gets substituted away)."""
-    const, *coeffs = node.equation(sig)
-    if any(coeffs):
-        return "pins"
-    return "infeasible" if const else "redundant"
-
-
-def _node_add(node: AffineAngles, sig: VertexSignature) -> AffineAngles | None:
-    """node with sig's angle-sum equation added; None if infeasible."""
-    const, *coeffs = eq = node.equation(sig)
-    if any(coeffs):
-        return node.pin(eq)
-    return None if const else node
+# alpha, beta, gamma.  The search extends a node by one signature at a time
+# through ``step``: an equation with no free coefficient leaves the node
+# unchanged (constant zero) or makes it infeasible (constant nonzero); any
+# other equation pins the node, eliminating the first free angle, in alpha,
+# beta, gamma order, with a nonzero coefficient, and the pinned node is kept
+# only if it has a witness.  Of the steps, only pins are cached, keyed on
+# (node, signature); the witness is cached per node, since different pins
+# can reach the same node.  The first signature has no node to pin, so its
+# node comes from ``solve_affine`` with the quadrilateral sum: which angles
+# stay free matters, because the witness below samples the free angles on a
+# grid, and the solver's pivot order fixes them.
 
 
 def _node_witness(node: AffineAngles) -> bool:

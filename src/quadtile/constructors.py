@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .angles import VertexSignature
+from .combinatorics import angles_feasible, parity_admissible
 from .tilingmap import (
     EDGE_LABELS,
     SLOT_NAMES,
+    TilingError,
     TilingMap,
     build,
     extract_avc,
@@ -398,9 +400,6 @@ def _flip_tiles(
     system, and must not be isomorphic to the input (which would be a mere
     re-rotation, not a flip).
     """
-    from .combinatorics import angles_feasible, parity_admissible
-    from .tilingmap import TilingError
-
     tiles = set(tiles)
     if not tiles or len(tiles) >= m.f:
         raise DomainError("flip segment must be a proper nonempty tile set")

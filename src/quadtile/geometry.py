@@ -683,7 +683,7 @@ def export_obj(real: Realization, edge_samples: int = 0) -> str:
     return "\n".join(lines)
 
 
-#: default SVG stroke styling per edge label: plain a, double b, heavy c
+#: SVG stroke styling per edge label: plain a, double b, heavy c
 SVG_STYLE = """
 .edge-a { stroke: #000; stroke-width: 1; fill: none; }
 .edge-b { stroke: #000; stroke-width: 3; fill: none; }
@@ -694,7 +694,6 @@ SVG_STYLE = """
 
 def export_svg(
     real: Realization, size: int = 640, edge_samples: int = 16,
-    style: str = SVG_STYLE,
 ) -> str:
     """Stereographic projection from the south pole as an SVG drawing,
     with stroke classes per edge label (plain a, double b, heavy c)."""
@@ -705,7 +704,7 @@ def export_svg(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{size}" viewBox="0 0 {size} {size}">\n'
-        f"<style>{style}</style>"]
+        f"<style>{SVG_STYLE}</style>"]
     for slots, pts in _edge_polylines(real, edge_samples):
         # stereographic projection, kept finite near the south pole
         denom = 1.0 + np.maximum(pts[..., 2], -0.999999)

@@ -66,10 +66,6 @@ class MapAutomorphism:
             inv[p] = i
         return MapAutomorphism(tuple(inv), self.reversing)
 
-    def dart(self, s: int) -> int:
-        """Image of a dart (slot labels are preserved)."""
-        return 4 * self.perm[s // 4] + s % 4
-
     def fixed_cells(self, m: TilingMap,
                     vmap: dict[int, int] | None = None) -> set[tuple]:
         """Tiles, edges and vertices mapped to themselves.  ``vmap`` is

@@ -102,14 +102,6 @@ class TilingMap:
             pos = SLOT_NAMES.index(pos)
         return 4 * tile + pos
 
-    @staticmethod
-    def tile_of(slot: int) -> int:
-        return slot // 4
-
-    @staticmethod
-    def pos_of(slot: int) -> int:
-        return slot % 4
-
     def edge_label(self, slot: int) -> str:
         return EDGE_LABELS[slot % 4]
 
@@ -167,8 +159,7 @@ class TilingMap:
         entries = []
         for s, t in self.edges():
             entries.append([
-                self.tile_of(s), SLOT_NAMES[self.pos_of(s)],
-                self.tile_of(t), SLOT_NAMES[self.pos_of(t)],
+                s // 4, SLOT_NAMES[s % 4], t // 4, SLOT_NAMES[t % 4],
             ])
         return json.dumps(
             {"f": self.f, "glue": entries, "orient": list(self.orient)},

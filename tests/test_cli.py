@@ -131,6 +131,13 @@ class TestRealize:
                            "--angles", "2pi/3,2pi/3,pi/2,pi/3")
         assert code == 0
 
+    @pytest.mark.parametrize("option,value", [
+        ("--delta", "pi/0"), ("--angles", "2pi/3,2pi/3,pi/2,pi/0")])
+    def test_zero_denominator(self, capsys, cube_file, option, value):
+        # [TRIVIAL] a zero denominator is a parse error, not a traceback
+        code, _, err = run(capsys, "realize", str(cube_file), option, value)
+        assert code == 2 and err.startswith("error:")
+
     def test_no_quad_source(self, capsys, cube_file):
         # [TRIVIAL]
         code, _, _ = run(capsys, "realize", str(cube_file))

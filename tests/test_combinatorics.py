@@ -297,6 +297,11 @@ class TestGoldenDifferential:
         (24, None): "c099b611ee478e56037cfc2ec425096c6987fea0fb647734b0b9422d464b24f9",
         (30, 7): "66f06b246d21f9c2526005a15ec2ca1c7560ed1ce7672002120f59c929d74757",
         (32, 6): "c7dd37f7a0117051dc270e1c596920a520d4255928d7d8ce5cc4810cf6218e10",
+        # recorded before the node step was merged into one cached pin
+        (28, 7): "f30e6b8a6353654deea82e36c3ffb02f7a70bb711a76bd2b04d9e76364e4589a",
+        (36, 7): "e154927b8c1c4317bcd0b65d31b72df5d04e99664721fbaaf3eeac5a2c71c71c",
+        (40, 7): "3272b04822f198c66ce43bded35f7d267efc9a030d79073fb55d87c3dfb11bcf",
+        (48, 7): "2402fecc6b89d503de34918c05f35ba60ba426ad84b3cf4e474c494abc793b9f",
     }
     SOLVER_DIGESTS = {
         (24, True): "9093fcb6cf5547352240ab29972716464b87b5f99d7e20b08d5b7e382bb7b68f",
