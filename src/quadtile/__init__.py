@@ -1,132 +1,64 @@
 """Edge-to-edge tilings of the sphere by congruent a2bc quadrilaterals:
 exact angle algebra, combinatorial maps, constructors for every tiling
 family, numeric spherical realization, and symmetry classification.
+
+``import quadtile`` loads no submodule: each public name (and each
+submodule) is imported the first time it is used, so only ``realize`` and
+the rest of ``quadtile.geometry`` pull in NumPy.
 """
 
-from .angles import (
-    AffineAngles,
-    AngleExpr,
-    AngleSolution,
-    VertexSignature,
-    solve_affine,
-    solve_angle_system,
-)
-from .combinatorics import (
-    AVCCandidate,
-    CheckReport,
-    DegreeVector,
-    angles_feasible,
-    avc_feasibility,
-    counting_identities,
-    degree_vertex_catalog,
-    parity_admissible,
-    search_avcs,
-)
-from .constructors import (
-    DomainError,
-    FlipInvalidError,
-    TimeZoneDisk,
-    decompose_time_zones,
-    earth_map,
-    family_alphadelta,
-    family_beta2delta,
-    flip_segment,
-    pq_earth_map,
-    quad_subdivide,
-)
-from .geometry import (
-    ClosureError,
-    DegeneracyError,
-    DegeneracyWarning,
-    GeometryError,
-    Realization,
-    SingularityError,
-    SphericalQuad,
-    area,
-    closed_form_cube_subdivision,
-    closed_form_family,
-    convexity_bounds,
-    degeneracy_loci,
-    export_obj,
-    export_svg,
-    holonomy_residual,
-    lune_quad,
-    realize,
-    solve_edges,
-    trig_residuals,
-)
-from .symmetry import (
-    MapAutomorphism,
-    SymmetryClass,
-    automorphisms,
-    classify,
-    vertex_bisecting_cycles,
-)
-from .tilingmap import (
-    TilingError,
-    TilingMap,
-    balance_pair_counts,
-    build,
-    extract_avc,
-    verify,
-)
-
-__all__ = [
-    "AngleExpr",
-    "AngleSolution",
-    "VertexSignature",
-    "solve_angle_system",
-    "AffineAngles",
-    "solve_affine",
-    "AVCCandidate",
-    "CheckReport",
-    "DegreeVector",
-    "angles_feasible",
-    "avc_feasibility",
-    "counting_identities",
-    "degree_vertex_catalog",
-    "parity_admissible",
-    "search_avcs",
-    "DomainError",
-    "FlipInvalidError",
-    "TimeZoneDisk",
-    "decompose_time_zones",
-    "earth_map",
-    "family_alphadelta",
-    "family_beta2delta",
-    "flip_segment",
-    "pq_earth_map",
-    "quad_subdivide",
-    "ClosureError",
-    "DegeneracyError",
-    "DegeneracyWarning",
-    "GeometryError",
-    "Realization",
-    "SingularityError",
-    "SphericalQuad",
-    "area",
-    "closed_form_cube_subdivision",
-    "closed_form_family",
-    "convexity_bounds",
-    "degeneracy_loci",
-    "export_obj",
-    "export_svg",
-    "holonomy_residual",
-    "lune_quad",
-    "realize",
-    "solve_edges",
-    "trig_residuals",
-    "MapAutomorphism",
-    "SymmetryClass",
-    "automorphisms",
-    "classify",
-    "vertex_bisecting_cycles",
-    "TilingError",
-    "TilingMap",
-    "balance_pair_counts",
-    "build",
-    "extract_avc",
-    "verify",
-]
+import importlib
 
 __version__ = "0.1.0"
+
+#: submodule -> the public names it exports at package level
+_EXPORTS = {
+    "angles": (
+        "AffineAngles", "AngleExpr", "AngleSolution", "VertexSignature",
+        "solve_affine", "solve_angle_system"),
+    "combinatorics": (
+        "AVCCandidate", "CheckReport", "DegreeVector", "angles_feasible",
+        "avc_feasibility", "counting_identities", "degree_vertex_catalog",
+        "parity_admissible", "search_avcs"),
+    "constructors": (
+        "DomainError", "FlipInvalidError", "TimeZoneDisk",
+        "decompose_time_zones", "earth_map", "family_alphadelta",
+        "family_beta2delta", "flip_segment", "pq_earth_map",
+        "quad_subdivide"),
+    "geometry": (
+        "ClosureError", "DegeneracyError", "DegeneracyWarning",
+        "GeometryError", "Realization", "SingularityError", "SphericalQuad",
+        "area", "closed_form_cube_subdivision", "closed_form_family",
+        "convexity_bounds", "degeneracy_loci", "export_obj", "export_svg",
+        "holonomy_residual", "lune_quad", "realize", "solve_edges",
+        "trig_residuals"),
+    "symmetry": (
+        "MapAutomorphism", "SymmetryClass", "automorphisms", "classify",
+        "vertex_bisecting_cycles"),
+    "tilingmap": (
+        "TilingError", "TilingMap", "balance_pair_counts", "build",
+        "extract_avc", "verify"),
+    "cli": (),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    """Import the submodule that owns ``name`` and cache the value here."""
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"),
+                        name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNER, *_EXPORTS})

@@ -5,6 +5,10 @@ significant digits).  Exit codes: 0 success, 1 verification or realization
 failure, 2 usage/parse/domain error.  The environment variable
 ``QUADTILE_TOL_REALIZE`` overrides the realization closure tolerance
 (default 1e-6).
+
+Each subcommand imports the library layer it runs when it is called, so
+importing this module loads no ``quadtile`` submodule, and only
+``realize`` loads NumPy (through ``quadtile.geometry``).
 """
 
 from __future__ import annotations
@@ -16,31 +20,6 @@ import re
 import sys
 from collections import Counter
 from typing import Sequence
-
-from . import geometry
-from .angles import VertexSignature
-from .combinatorics import search_avcs
-from .constructors import (
-    DomainError,
-    earth_map,
-    family_alphadelta,
-    family_beta2delta,
-    pq_earth_map,
-    quad_subdivide,
-)
-from .geometry import (
-    GeometryError,
-    SphericalQuad,
-    closed_form_cube_subdivision,
-    closed_form_family,
-    export_obj,
-    export_svg,
-    holonomy_residual,
-    realize,
-    solve_edges,
-)
-from .symmetry import automorphisms, classify
-from .tilingmap import TilingError, TilingMap, extract_avc, format_avc, verify
 
 _FMT = "{:.17g}".format
 
@@ -67,14 +46,17 @@ def _parse_angle(text: str) -> float:
     return num * math.pi / den
 
 
-def _parse_avc(text: str) -> Counter[VertexSignature] | list[VertexSignature]:
-    """Parse 'αβ²,α²δ²,γ⁴,δ⁶' (type set) or 'αβ²×8,γ⁴×4,...' (with counts)."""
+def _parse_avc(text: str) -> Counter | list:
+    """Parse 'αβ²,α²δ²,γ⁴,δ⁶' (a list of VertexSignature) or 'αβ²×8,γ⁴×4,...'
+    (a Counter of them)."""
+    from .angles import VertexSignature
+
     parts = [p for p in re.split(r"[,;]", text) if p.strip()]
     if not parts:
         raise ValueError("empty AVC string")
     with_counts = all(re.search(r"[×x:]\s*\d+\s*$", p) for p in parts)
     if with_counts:
-        counts: Counter[VertexSignature] = Counter()
+        counts: Counter = Counter()
         for p in parts:
             sig_text, n = re.fullmatch(r"(.*?)[×x:]\s*(\d+)\s*", p).groups()
             counts[VertexSignature.parse(sig_text)] += int(n)
@@ -82,7 +64,10 @@ def _parse_avc(text: str) -> Counter[VertexSignature] | list[VertexSignature]:
     return [VertexSignature.parse(p) for p in parts]
 
 
-def _load_map(path: str) -> TilingMap:
+def _load_map(path: str):
+    """Read a TilingMap from a JSON file."""
+    from .tilingmap import TilingMap
+
     with open(path, encoding="utf-8") as fh:
         return TilingMap.from_json(fh.read())
 
@@ -92,20 +77,28 @@ def _load_map(path: str) -> TilingMap:
 # ---------------------------------------------------------------------------
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from .constructors import (
+        DomainError,
+        earth_map,
+        family_alphadelta,
+        family_beta2delta,
+        pq_earth_map,
+        quad_subdivide,
+    )
+    from .tilingmap import extract_avc, format_avc
+
+    by_f = {"earth-map": earth_map, "pq-emt": pq_earth_map,
+            "alphadelta": family_alphadelta, "beta2delta": family_beta2delta}
     try:
-        if args.family == "earth-map":
-            m = earth_map(_require_f(args))
-        elif args.family == "pq-emt":
-            m = pq_earth_map(_require_f(args))
-        elif args.family == "subdivision":
+        if args.family == "subdivision":
             if not args.base:
                 raise DomainError("subdivision requires --base")
             m = quad_subdivide(args.base)
-        elif args.family == "alphadelta":
-            m = family_alphadelta(_require_f(args))
-        else:  # beta2delta
-            m = family_beta2delta(_require_f(args))
-    except (DomainError, TilingError, ValueError) as exc:
+        elif args.f is None:
+            raise DomainError(f"{args.family} requires --f")
+        else:
+            m = by_f[args.family](args.f)
+    except ValueError as exc:
         return _fail(str(exc), 2)
 
     print(f"f={m.f}  AVC: {format_avc(extract_avc(m))}")
@@ -119,18 +112,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_f(args: argparse.Namespace) -> int:
-    if args.f is None:
-        raise DomainError(f"{args.family} requires --f")
-    return args.f
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .tilingmap import extract_avc, format_avc, verify
+
     try:
         m = _load_map(args.mapfile)
         expected = (_parse_avc(args.expect) if args.expect
                     else list(extract_avc(m)))
-    except (OSError, ValueError, TilingError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc), 2)
     report = verify(m, expected, f=args.f)
     print(report)
@@ -141,7 +130,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _resolve_quad(args: argparse.Namespace, m: TilingMap) -> SphericalQuad:
+def _resolve_quad(args: argparse.Namespace, m):
+    """The quad of ``--quad family``, ``--delta`` or ``--angles``."""
+    from . import geometry
+
     sources = [args.quad == "family", args.delta is not None,
                args.angles is not None]
     if sum(sources) != 1:
@@ -149,21 +141,26 @@ def _resolve_quad(args: argparse.Namespace, m: TilingMap) -> SphericalQuad:
             "choose exactly one quad source: --quad family, --delta, "
             "or --angles")
     if args.quad == "family":
-        return closed_form_family(m.f)
+        return geometry.closed_form_family(m.f)
     if args.delta is not None:
-        return closed_form_cube_subdivision(_parse_angle(args.delta))
+        return geometry.closed_form_cube_subdivision(_parse_angle(args.delta))
     vals = [_parse_angle(p) for p in args.angles.split(",")]
     if len(vals) != 4:
         raise ValueError("--angles needs alpha,beta,gamma,delta")
-    roots = solve_edges(*vals)
+    roots = geometry.solve_edges(*vals)
     if not roots:
-        raise GeometryError("no edge solution for the given angles")
+        raise geometry.GeometryError("no edge solution for the given angles")
     if not 0 <= args.root < len(roots):
         raise ValueError(f"--root out of range (found {len(roots)} roots)")
     return roots[args.root]
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
+    from . import geometry
+
+    if args.edge_samples < 0:
+        return _fail(f"--edge-samples must be non-negative, got "
+                     f"{args.edge_samples}", 2)
     try:
         tol = float(os.environ.get("QUADTILE_TOL_REALIZE",
                                    geometry.TOL_REALIZE))
@@ -171,43 +168,46 @@ def cmd_realize(args: argparse.Namespace) -> int:
         return _fail(f"QUADTILE_TOL_REALIZE: {exc}", 2)
     try:
         m = _load_map(args.mapfile)
-    except (OSError, ValueError, TilingError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc), 2)
     try:
         q = _resolve_quad(args, m)
     except geometry.DegeneracyError as exc:
         return _fail(f"degenerate quadrilateral: {exc}", 1)
-    except (GeometryError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), 2)
     try:
-        real = realize(m, q, tol=tol)
+        real = geometry.realize(m, q, tol=tol)
     except geometry.ClosureError as exc:
         print(f"error: realization failed: {exc}", file=sys.stderr)
         print(f"worst vertex: {exc.worst_vertex}  gap: {_FMT(exc.gap)}",
               file=sys.stderr)
         return 1
-    except GeometryError as exc:
+    except geometry.GeometryError as exc:
         return _fail(f"realization failed: {exc}", 1)
 
     print(f"f={m.f}")
     print(f"edges: a={_FMT(q.a)} b={_FMT(q.b)} c={_FMT(q.c)}")
     print(f"angles: alpha={_FMT(q.alpha)} beta={_FMT(q.beta)} "
           f"gamma={_FMT(q.gamma)} delta={_FMT(q.delta)}")
-    print(f"holonomy residual: {_FMT(holonomy_residual(q))}")
+    print(f"holonomy residual: {_FMT(geometry.holonomy_residual(q))}")
     print(f"closure gap: {_FMT(real.max_mismatch)}")
     print(f"area sum: {_FMT(real.area_sum)}  (4*pi = {_FMT(4 * math.pi)})")
     if args.obj:
         with open(args.obj, "w", encoding="utf-8") as fh:
-            fh.write(export_obj(real, edge_samples=args.edge_samples))
+            fh.write(geometry.export_obj(real, edge_samples=args.edge_samples))
         print(f"wrote {args.obj}")
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(export_svg(real, edge_samples=max(args.edge_samples, 1)))
+            fh.write(geometry.export_svg(
+                real, edge_samples=max(args.edge_samples, 1)))
         print(f"wrote {args.svg}")
     return 0
 
 
 def cmd_avc_search(args: argparse.Namespace) -> int:
+    from .combinatorics import search_avcs
+
     try:
         cands = search_avcs(args.f, max_degree=args.max_degree)
     except ValueError as exc:
@@ -222,9 +222,11 @@ def cmd_avc_search(args: argparse.Namespace) -> int:
 
 
 def cmd_symmetry(args: argparse.Namespace) -> int:
+    from .symmetry import automorphisms, classify
+
     try:
         m = _load_map(args.mapfile)
-    except (OSError, ValueError, TilingError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc), 2)
     sc = classify(m)
     print(str(sc))
@@ -272,7 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="which edge-solution root to use with --angles")
     p.add_argument("--obj", help="write OBJ mesh here")
     p.add_argument("--svg", help="write stereographic SVG here")
-    p.add_argument("--edge-samples", type=int, default=16)
+    p.add_argument("--edge-samples", type=int, default=16,
+                   help="samples per geodesic edge for OBJ polylines "
+                   "(0: none) and SVG paths (at least 1)")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("avc-search", help="enumerate feasible AVCs at f")

@@ -167,12 +167,21 @@ class TilingMap:
 
     @staticmethod
     def from_json(text: str) -> "TilingMap":
+        """Parse ``to_json`` output; a malformed layout raises TilingError."""
         data = json.loads(text)
-        f = data["f"]
-        pairs = []
-        for t1, s1, t2, s2 in data["glue"]:
-            pairs.append(((t1, s1), (t2, s2)))
-        return build(f, pairs, orient=data.get("orient"))
+        if not (isinstance(data, dict) and "f" in data and "glue" in data):
+            raise TilingError("map JSON must be an object with 'f' and 'glue'")
+        f, glue, orient = data["f"], data["glue"], data.get("orient")
+        if not isinstance(f, int):
+            raise TilingError(f"'f' must be an integer, got {f!r}")
+        if not (isinstance(glue, list)
+                and all(isinstance(e, list) and len(e) == 4 for e in glue)):
+            raise TilingError(
+                "'glue' must be a list of [tile, slot, tile, slot] entries")
+        if orient is not None and not isinstance(orient, list):
+            raise TilingError(f"'orient' must be a list, got {orient!r}")
+        pairs = [((t1, s1), (t2, s2)) for t1, s1, t2, s2 in glue]
+        return build(f, pairs, orient=orient)
 
     # -- canonical form ---------------------------------------------------
 

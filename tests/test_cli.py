@@ -1,11 +1,25 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadtile
 from quadtile import geometry
 from quadtile.cli import main
+
+
+#: JSON documents that parse but are not a map layout
+MALFORMED = [
+    [], None, {"f": 2}, {"f": "x", "glue": []}, {"f": 2, "glue": 5},
+    {"f": 2, "glue": [[0, "AB", 1, "AB"], [0, "BC", 1, "BC"],
+                      [0, "CD", 1, "CD"], [0, "DA", 1, "DA"]],
+     "orient": 7},
+]
 
 
 def run(capsys, *argv):
@@ -98,6 +112,18 @@ class TestVerify:
                          "--expect", "αβ²×12,α²δ²×6,γ⁴×6,δ⁶×2")
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["verify", "realize", "symmetry"])
+    @pytest.mark.parametrize("data", MALFORMED, ids=[
+        "list", "null", "no-glue", "str-f", "int-glue", "int-orient"])
+    def test_malformed_map(self, capsys, tmp_path, command, data):
+        # [TRIVIAL] well-formed JSON that is not a map layout is a usage
+        # error, not a traceback
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        extra = ["--delta", "pi/3"] if command == "realize" else []
+        code, _, err = run(capsys, command, str(bad), *extra)
+        assert code == 2 and err.startswith("error:")
+
 
 class TestRealize:
     def test_family(self, capsys, pq24_file, tmp_path):
@@ -137,6 +163,21 @@ class TestRealize:
         # [TRIVIAL] a zero denominator is a parse error, not a traceback
         code, _, err = run(capsys, "realize", str(cube_file), option, value)
         assert code == 2 and err.startswith("error:")
+
+    def test_negative_edge_samples(self, capsys, cube_file, tmp_path):
+        # [TRIVIAL] a negative sample count is a usage error; 0 still writes
+        # an OBJ without polylines and an SVG at one sample per edge
+        svg = tmp_path / "m.svg"
+        code, _, err = run(capsys, "realize", str(cube_file), "--delta",
+                           "pi/3", "--edge-samples", "-3", "--svg", str(svg))
+        assert code == 2 and err.startswith("error:") and not svg.exists()
+        obj = tmp_path / "m.obj"
+        code, _, _ = run(capsys, "realize", str(cube_file), "--delta", "pi/3",
+                         "--edge-samples", "0", "--obj", str(obj),
+                         "--svg", str(svg))
+        assert code == 0 and svg.exists()
+        assert not any(ln.startswith("l ")
+                       for ln in obj.read_text().splitlines())
 
     def test_no_quad_source(self, capsys, cube_file):
         # [TRIVIAL]
@@ -203,3 +244,55 @@ class TestAVCSearch:
         # [TRIVIAL]
         code, _, _ = run(capsys, "avc-search", "--f", "7")
         assert code == 2
+
+
+class TestImports:
+    """Each subcommand loads only its own layer; NumPy only for realize."""
+
+    @staticmethod
+    def python(*argv, cwd=None):
+        src = str(Path(quadtile.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def cli_imports(self, cwd, *argv):
+        """Run the CLI as ``python -m quadtile.cli`` does, in a fresh
+        interpreter, and return the modules loaded when it exits."""
+        proc = self.python("-c", f"""
+import runpy, sys
+sys.argv = ["quadtile", *{list(argv)!r}]
+try:
+    runpy.run_module("quadtile.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(*sorted(sys.modules))
+""", cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    def test_import_quadtile_loads_no_submodule(self):
+        # [TRIVIAL] a bare import loads nothing; a submodule attribute and a
+        # package name both resolve on first use
+        proc = self.python("-c", """
+import quadtile, sys
+print(sorted(m for m in sys.modules if "quadtile" in m))
+assert quadtile.geometry.realize is quadtile.realize
+print("numpy" in sys.modules)
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["['quadtile']", "True"]
+
+    def test_numpy_only_for_realize(self, tmp_path):
+        # [DERIVED] construct, verify, symmetry and avc-search never touch
+        # geometry; realize still loads it and succeeds
+        geometric = {"numpy", "quadtile.geometry"}
+        for argv in (["construct", "pq-emt", "--f", "16", "-o", "m.json"],
+                     ["verify", "m.json"], ["symmetry", "m.json"],
+                     ["avc-search", "--f", "6"]):
+            loaded = self.cli_imports(tmp_path, *argv)
+            assert not loaded & geometric, argv
+        loaded = self.cli_imports(tmp_path, "realize", "m.json",
+                                  "--quad", "family")
+        assert geometric <= loaded

@@ -18,3 +18,64 @@ def test_all_resolves(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+#: the package-level names, pinned when the eager imports became lazy
+PACKAGE_NAMES = {
+    "AVCCandidate", "AffineAngles", "AngleExpr", "AngleSolution",
+    "CheckReport", "ClosureError", "DegeneracyError", "DegeneracyWarning",
+    "DegreeVector", "DomainError", "FlipInvalidError", "GeometryError",
+    "MapAutomorphism", "Realization", "SingularityError", "SphericalQuad",
+    "SymmetryClass", "TilingError", "TilingMap", "TimeZoneDisk",
+    "VertexSignature", "angles_feasible", "area", "automorphisms",
+    "avc_feasibility", "balance_pair_counts", "build", "classify",
+    "closed_form_cube_subdivision", "closed_form_family", "convexity_bounds",
+    "counting_identities", "decompose_time_zones", "degeneracy_loci",
+    "degree_vertex_catalog", "earth_map", "export_obj", "export_svg",
+    "extract_avc", "family_alphadelta", "family_beta2delta", "flip_segment",
+    "holonomy_residual", "lune_quad", "parity_admissible", "pq_earth_map",
+    "quad_subdivide", "realize", "search_avcs", "solve_affine",
+    "solve_angle_system", "solve_edges", "trig_residuals", "verify",
+    "vertex_bisecting_cycles",
+}
+
+SUBMODULES = [name.split(".", 1)[1] for name in MODULES[1:]]
+
+
+def test_package_names():
+    # [TRIVIAL] the export table neither lost nor gained a name
+    assert len(quadtile.__all__) == len(PACKAGE_NAMES) == 55
+    assert set(quadtile.__all__) == PACKAGE_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGE_NAMES))
+def test_package_name_is_the_submodule_object(name):
+    # [TRIVIAL] the lazy lookup returns the submodule's own object
+    owner = next(m for m in SUBMODULES
+                 if name in getattr(importlib.import_module(
+                     f"quadtile.{m}"), "__all__", ()))
+    assert getattr(quadtile, name) is getattr(
+        importlib.import_module(f"quadtile.{owner}"), name)
+
+
+def test_submodules_are_attributes():
+    # [TRIVIAL] quadtile.<submodule> works without importing it by name
+    for name in SUBMODULES:
+        assert getattr(quadtile, name) is importlib.import_module(
+            f"quadtile.{name}")
+
+
+def test_dir_and_unknown_name():
+    # [TRIVIAL]
+    listing = dir(quadtile)
+    assert "__all__" in listing
+    assert PACKAGE_NAMES <= set(listing)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quadtile.no_such_name  # noqa: B018
+
+
+def test_star_import():
+    # [TRIVIAL] ``from quadtile import *`` binds every exported name
+    namespace = {}
+    exec("from quadtile import *", namespace)
+    assert PACKAGE_NAMES <= set(namespace)

@@ -1,5 +1,6 @@
 """Combinatorial map structure, validation, serialization, verification."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -139,6 +140,18 @@ class TestSerialization:
     def test_deterministic(self):
         # [TRIVIAL] byte-identical serialization
         assert earth_map(10).to_json() == earth_map(10).to_json()
+
+    @pytest.mark.parametrize("data", [
+        [], None, {"f": 2}, {"f": "x", "glue": []}, {"f": 2, "glue": 5},
+        {"f": 2, "glue": [[0, "AB", 1]]},
+        {**json.loads(two_tile_map().to_json()), "orient": 7},
+    ], ids=["list", "null", "no-glue", "str-f", "int-glue", "short-entry",
+            "int-orient"])
+    def test_malformed(self, data):
+        # [TRIVIAL] a malformed layout is a TilingError, not a KeyError or
+        # TypeError from unpacking it
+        with pytest.raises(TilingError):
+            TilingMap.from_json(json.dumps(data))
 
 
 class TestIsomorphism:
