@@ -31,6 +31,7 @@ ANGLE_NAMES = ("alpha", "beta", "gamma", "delta")
 
 _GREEK = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+_ZERO = Fraction(0)
 
 
 def _frac(x: int | Fraction) -> Fraction:
@@ -41,20 +42,21 @@ def _frac(x: int | Fraction) -> Fraction:
 class AngleExpr:
     """An angle c0*pi + c1*pi/f with rational coefficients."""
 
-    c0: Fraction = Fraction(0)
-    c1: Fraction = Fraction(0)
+    c0: Fraction = _ZERO
+    c1: Fraction = _ZERO
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c0", _frac(self.c0))
-        object.__setattr__(self, "c1", _frac(self.c1))
+        if type(self.c0) is not Fraction or type(self.c1) is not Fraction:
+            object.__setattr__(self, "c0", _frac(self.c0))
+            object.__setattr__(self, "c1", _frac(self.c1))
 
     @staticmethod
     def pi(coeff: int | Fraction = 1) -> "AngleExpr":
-        return AngleExpr(_frac(coeff), Fraction(0))
+        return AngleExpr(coeff)
 
     @staticmethod
     def pi_over_f(coeff: int | Fraction = 1) -> "AngleExpr":
-        return AngleExpr(Fraction(0), _frac(coeff))
+        return AngleExpr(_ZERO, coeff)
 
     def __add__(self, other: "AngleExpr") -> "AngleExpr":
         return AngleExpr(self.c0 + other.c0, self.c1 + other.c1)
@@ -160,29 +162,22 @@ class VertexSignature:
         return VertexSignature(exps["a"], exps["b"], exps["g"], exps["d"])
 
 
-_SUPERSCRIPTS_INV = {ord(sup): str(i) for i, sup in enumerate(
-    "⁰¹²³⁴⁵⁶⁷⁸⁹")}
+_SUPERSCRIPTS_INV = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
 
 
 def quad_sum_residual(
     angles: Sequence[AngleExpr], f: int | Fraction
 ) -> Fraction:
     """alpha+beta+gamma+delta - (2 + 4/f) pi, as an exact multiple of pi."""
-    total = AngleExpr()
-    for ang in angles:
-        total = total + ang
-    target = AngleExpr(Fraction(2), Fraction(4))
-    return (total - target).coefficient_of_pi(f)
+    return sum((a.coefficient_of_pi(f) for a in angles), -2 - Fraction(4) / f)
 
 
 def vertex_sum_residual(
     sig: VertexSignature, angles: Sequence[AngleExpr], f: int | Fraction
 ) -> Fraction:
     """a*alpha + b*beta + c*gamma + d*delta - 2 pi, as a multiple of pi."""
-    total = AngleExpr()
-    for e, ang in zip(sig.exponents, angles):
-        total = total + e * ang
-    return (total - AngleExpr.pi(2)).coefficient_of_pi(f)
+    return sum((e * a.coefficient_of_pi(f)
+                for e, a in zip(sig.exponents, angles)), Fraction(-2))
 
 
 @dataclass(frozen=True)
@@ -230,17 +225,12 @@ def solve_angle_system(
     for name, (const, *ks) in zip(ANGLE_NAMES, aff.rows):
         coeffs = {n: Fraction(k, aff.den) for n, k in zip(aff.free, ks) if k}
         relations[name] = (
-            AngleExpr(Fraction(const, aff.den), coeffs.pop("x", 0)), coeffs)
+            AngleExpr(Fraction(const, aff.den), coeffs.pop("x", _ZERO)), coeffs)
     free = tuple(n for n in aff.free if n != "x")
-    if free:
-        return AngleSolution(kind="parametric", free=free,
-                             relations=relations, pinned_f=pinned_f)
-    return AngleSolution(
-        kind="unique",
-        assignment={n: const for n, (const, _) in relations.items()},
-        relations=relations,
-        pinned_f=pinned_f,
-    )
+    assignment = None if free else {
+        n: const for n, (const, _) in relations.items()}
+    return AngleSolution("parametric" if free else "unique", assignment,
+                         free, relations, pinned_f)
 
 
 class AffineAngles(NamedTuple):
@@ -297,11 +287,6 @@ def _eliminate(row: Sequence[int], pivot: Sequence[int], col: int) -> list[int]:
     return [a * r - b * p for r, p in zip(row, pivot)]
 
 
-def _primitive(row: list[int]) -> list[int]:
-    g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
 def solve_affine(
     signatures: Iterable[VertexSignature],
     include_quad_sum: bool = True,
@@ -326,31 +311,38 @@ def _solve(
     f: int | None,
 ) -> tuple[AffineAngles, Fraction | None] | None:
     """The solution and the value of f it forces (None if f stays free);
-    None if the system has no solution."""
-    sigs = sorted(set(signatures))
-    if not sigs:
-        raise ValueError("signature set must be nonempty")
+    None if the system has no solution.  One Gauss-Jordan pass of inlined
+    ``_eliminate`` steps, reduced once at the end: the pivot columns depend
+    only on column ranks, so row order and scaling do not matter."""
     # columns alpha, beta, gamma, delta, x | right-hand side
-    rows = [[*s.exponents, 0, 2] for s in sigs]
+    rows = [[*s.exponents, 0, 2] for s in set(signatures)]
+    if not rows:
+        raise ValueError("signature set must be nonempty")
     if include_quad_sum:
         rows.append([1, 1, 1, 1, -4, 2])
     if f is not None:
         rows.append([0, 0, 0, 0, f, 1])
-    pivots: dict[int, list[int]] = {}
+    cols: list[int] = []  # the pivot columns, in step with done's rows
+    done: list[list[int]] = []
     for col in _PIVOT_ORDER:
-        pivot = next((row for row in rows if row[col]), None)
-        if pivot is None:
+        for pivot in rows:
+            if pivot[col]:
+                break
+        else:
             continue
         rows.remove(pivot)
-        rows = [_primitive(_eliminate(row, pivot, col)) if row[col] else row
-                for row in rows]
-        pivots = {c: _primitive(_eliminate(row, pivot, col)) if row[col]
-                  else row for c, row in pivots.items()}
-        pivots[col] = pivot
+        a = pivot[col]
+        rows = [[a * r - b * p for r, p in zip(row, pivot)]
+                if (b := row[col]) else row for row in rows]
+        done = [[a * r - b * p for r, p in zip(row, pivot)]
+                if (b := row[col]) else row for row in done]
+        cols.append(col)
+        done.append(pivot)
     # every remaining row is zero left of the right-hand side
     if any(row[5] for row in rows):
         return None
 
+    pivots = dict(zip(cols, done))
     pinned_f = None
     if 4 in pivots:
         # x is forced to a constant (no angle column survives in its row)

@@ -272,10 +272,10 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
     superset of the AVCs of actual tilings within these bounds;
     known-untileable combinations are flagged.
 
-    Before any angle work on a support, a count-balance screen (a proved
-    necessary condition for an all-positive multiplicity vector, see
-    ``_balanced``) discards supports whose signatures cannot balance the
-    four angle counts or lack a degree-3 vertex.
+    Before any angle work, two proved necessary conditions for an
+    all-positive multiplicity vector screen each support: count balance
+    (``_balanced``) and Euler's degree budget, sum n_v (deg_v - 3) = f - 6,
+    which bounds the sum of deg_v - 3 over the support by f - 6.
     """
     if f < 6 or f % 2:
         raise ValueError(f"f must be even and >= 6, got {f}")
@@ -339,7 +339,7 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
     comp_cache: dict[AffineAngles, list[VertexSignature]] = {}
 
     def extend_high(subset: list[VertexSignature], base: AffineAngles,
-                    subset_mask: int) -> None:
+                    subset_mask: int, budget: int) -> None:
         if _balanced(subset_mask):
             consider(subset, base)
         # high signatures have degree >= 6, so they cannot supply a missing
@@ -355,6 +355,8 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
                 if not _balanced(functools.reduce(
                         operator.or_, map(mask.get, combo), subset_mask)):
                     continue
+                if sum(s.degree for s in combo) - 3 * r > budget:
+                    continue
                 node = base
                 for s in combo:
                     node = step(node, s)
@@ -364,19 +366,23 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
                     consider(subset + list(combo), node)
 
     def rec_low(start: int, subset: list[VertexSignature],
-                node: AffineAngles | None, subset_mask: int) -> None:
+                node: AffineAngles | None, subset_mask: int,
+                budget: int) -> None:
         if subset:
-            extend_high(subset, node, subset_mask)
+            extend_high(subset, node, subset_mask, budget)
         if len(subset) == 6:
             return
         for i, s in enumerate(low[start:], start):
+            if s.degree - 3 > budget:
+                break  # low is in ascending degree
             child = step(node, s)
             if child is not None:
                 subset.append(s)
-                rec_low(i + 1, subset, child, subset_mask | mask[s])
+                rec_low(i + 1, subset, child, subset_mask | mask[s],
+                        budget - s.degree + 3)
                 subset.pop()
 
-    rec_low(0, [], None, 0)
+    rec_low(0, [], None, 0, f - 6)
     return sorted(found.values(),
                   key=lambda c: (len(c.signatures),
                                  tuple(s.exponents for s in c.signatures)))

@@ -98,9 +98,10 @@ class TilingMap:
 
     @staticmethod
     def slot(tile: int, pos: int | str) -> int:
-        if isinstance(pos, str):
-            pos = SLOT_NAMES.index(pos)
-        return 4 * tile + pos
+        p = SLOT_NAMES.index(pos) if pos in SLOT_NAMES else pos
+        if type(tile) is not int or type(p) is not int or not 0 <= p < 4:
+            raise TilingError(f"bad glue entry: tile {tile!r}, slot {pos!r}")
+        return 4 * tile + p
 
     def edge_label(self, slot: int) -> str:
         return EDGE_LABELS[slot % 4]

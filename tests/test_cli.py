@@ -19,6 +19,9 @@ MALFORMED = [
     {"f": 2, "glue": [[0, "AB", 1, "AB"], [0, "BC", 1, "BC"],
                       [0, "CD", 1, "CD"], [0, "DA", 1, "DA"]],
      "orient": 7},
+    *({"f": 2, "glue": [entry, [0, "BC", 1, "BC"], [0, "CD", 1, "CD"],
+                        [0, "DA", 1, "DA"]], "orient": [0, 1]}
+      for entry in ([0, 5, 0, 4], [0.0, "AB", 1, "AB"], [0, "XY", 1, "AB"])),
 ]
 
 
@@ -114,7 +117,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["verify", "realize", "symmetry"])
     @pytest.mark.parametrize("data", MALFORMED, ids=[
-        "list", "null", "no-glue", "str-f", "int-glue", "int-orient"])
+        "list", "null", "no-glue", "str-f", "int-glue", "int-orient",
+        "slot-5", "float-tile", "name-XY"])
     def test_malformed_map(self, capsys, tmp_path, command, data):
         # [TRIVIAL] well-formed JSON that is not a map layout is a usage
         # error, not a traceback

@@ -5,12 +5,18 @@ import hashlib
 import itertools
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtile.angles import VertexSignature, solve_angle_system
+from quadtile.angles import (
+    ANGLE_NAMES,
+    AngleExpr,
+    VertexSignature,
+    solve_angle_system,
+)
 from quadtile.combinatorics import (
     DegreeVector,
     KNOWN_UNREALIZABLE,
@@ -229,6 +235,23 @@ class TestBalanceScreen:
             assert avc_feasibility(support, f) == []
 
 
+class TestDegreeBudget:
+    """Euler's degree budget, sum n_v (deg_v - 3) = f - 6, is a necessary
+    condition: a support whose degrees minus 3 sum past f - 6 has no
+    all-positive multiplicity vector."""
+
+    @given(st.integers(3, 20).map(lambda k: 2 * k),
+           st.lists(st.sampled_from(TestBalanceScreen.CATALOG + [
+               s for k in (7, 8) for s in _signatures_of_degree(k)]),
+               min_size=1, max_size=6, unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_random_supports(self, f, support):
+        # [DERIVED] random supports of up to 6 signatures of degree 3-8 at
+        # even f in [6, 40]: over the budget implies no multiplicity vector
+        if sum(s.degree - 3 for s in support) > f - 6:
+            assert avc_feasibility(support, f) == []
+
+
 class TestSearch:
     def test_f6(self):
         # [PAPER] f=6 contains {a3, bgd}
@@ -278,6 +301,71 @@ def _solution_line(subset, sol) -> str:
     return f"{head}|{','.join(sol.free)}|{rel}"
 
 
+def reference_solve(signatures, include_quad_sum, f):
+    """Gauss-Jordan over Fractions with unit pivots, in the solver's pivot
+    order (delta, gamma, beta, alpha, then x = pi/f): an oracle for
+    solve_angle_system that shares no code with it.  Returns (kind, free,
+    pinned_f, relations) in the form of AngleSolution."""
+    # columns alpha, beta, gamma, delta, x | right-hand side, units of pi
+    rows = [[Fraction(e) for e in s.exponents] + [Fraction(0), Fraction(2)]
+            for s in set(signatures)]
+    if include_quad_sum:
+        rows.append([Fraction(v) for v in (1, 1, 1, 1, -4, 2)])
+    if f is not None:
+        rows.append([Fraction(v) for v in (0, 0, 0, 0, f, 1)])
+    pivots = {}
+    for col in (3, 2, 1, 0, 4):
+        pivot = next((row for row in rows if row[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [v / pivot[col] for v in pivot]
+        for row in rows + list(pivots.values()):
+            k = row[col]
+            row[:] = [v - k * p for v, p in zip(row, pivot)]
+        pivots[col] = pivot
+    if any(row[5] != 0 for row in rows):
+        return "infeasible", (), None, None
+    pinned_f = None
+    if 4 in pivots:
+        if pivots[4][5] == 0:  # x = 0: no finite f
+            return "infeasible", (), None, None
+        pinned_f = 1 / pivots[4][5]
+    free = tuple(c for c in range(4) if c not in pivots)
+    relations = {}
+    for c, name in enumerate(ANGLE_NAMES):
+        if c not in pivots:
+            relations[name] = (AngleExpr(), {name: Fraction(1)})
+            continue
+        row = pivots[c]
+        x = -row[4] if 4 not in pivots else Fraction(0)
+        relations[name] = (AngleExpr(row[5], x),
+                           {ANGLE_NAMES[j]: -row[j] for j in free if row[j]})
+    kind = "parametric" if free else "unique"
+    return kind, tuple(ANGLE_NAMES[c] for c in free), pinned_f, relations
+
+
+#: every admissible signature of degree 3..8
+ADMISSIBLE_3_8 = [s for k in range(3, 9) for s in _signatures_of_degree(k)]
+
+
+class TestSolverOracle:
+    @given(st.lists(st.sampled_from(ADMISSIBLE_3_8), min_size=1, max_size=8,
+                    unique=True),
+           st.booleans(),
+           st.none() | st.integers(3, 24).map(lambda k: 2 * k))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, support, quad_sum, f):
+        # [DERIVED] systems of 1-8 signatures of degree 3-8, beyond the
+        # golden sweeps' 1-3-subsets of degree <= 5: kind, free angles,
+        # pinned f and relations equal the Fraction Gauss-Jordan oracle's
+        sol = solve_angle_system(support, include_quad_sum=quad_sum, f=f)
+        kind, free, pinned_f, relations = reference_solve(
+            support, quad_sum, f)
+        assert (sol.kind, sol.free, sol.pinned_f) == (kind, free, pinned_f)
+        assert sol.relations == relations
+
+
 class TestGoldenDifferential:
     """Full outputs of the exact search and solver, pinned by sha256 digests
     recorded before the search moved to integer arithmetic."""
@@ -307,6 +395,8 @@ class TestGoldenDifferential:
         (24, True): "9093fcb6cf5547352240ab29972716464b87b5f99d7e20b08d5b7e382bb7b68f",
         (None, True): "91b8d90a606d9322c913db5ac52790fdb92270276cffaf2189b2b0b7e76675d2",
         (None, False): "5650ca16e1d6daecb01925fd8bb999d54aec17247f4947b3268e1e16d6eda609",
+        # recorded before the solver moved to one Gauss-Jordan pass
+        (24, False): "28a75b9c744718bb953ee172de225e66e221d06c4a085f9212000e8601d4b2fc",
     }
 
     @pytest.mark.parametrize("f,max_degree", sorted(

@@ -31,6 +31,22 @@ def two_tile_map() -> TilingMap:
     return build(2, pairs, orient=[0, 1])
 
 
+#: glue entries with a slot out of 0-3 (on f = 2, [0, 4, 0, 0] would read
+#: as tile 1 AB glued to tile 0 AB, the entry it replaces), a non-int
+#: tile index or slot, or an unknown slot name
+BAD_GLUE_ENTRIES = [[0, 5, 0, 4], [0, 4, 0, 0], [0.0, "AB", 1, "AB"],
+                    [True, "AB", 1, "AB"], [0, "AB", 1, 0.0],
+                    [0, "XY", 1, "AB"]]
+BAD_GLUE_IDS = ["slot-5", "slot-4", "float-tile", "bool-tile", "float-slot",
+                "name-XY"]
+
+
+def two_tile_json_with(entry: list) -> dict:
+    """The two-tile map's JSON with its first glue entry replaced."""
+    data = json.loads(two_tile_map().to_json())
+    return {**data, "glue": [entry] + data["glue"][1:]}
+
+
 class TestBuild:
     def test_two_tile(self):
         m = two_tile_map()
@@ -145,13 +161,22 @@ class TestSerialization:
         [], None, {"f": 2}, {"f": "x", "glue": []}, {"f": 2, "glue": 5},
         {"f": 2, "glue": [[0, "AB", 1]]},
         {**json.loads(two_tile_map().to_json()), "orient": 7},
+        *(two_tile_json_with(entry) for entry in BAD_GLUE_ENTRIES),
     ], ids=["list", "null", "no-glue", "str-f", "int-glue", "short-entry",
-            "int-orient"])
+            "int-orient", *BAD_GLUE_IDS])
     def test_malformed(self, data):
         # [TRIVIAL] a malformed layout is a TilingError, not a KeyError or
         # TypeError from unpacking it
         with pytest.raises(TilingError):
             TilingMap.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("entry", BAD_GLUE_ENTRIES, ids=BAD_GLUE_IDS)
+    def test_bad_glue_entry_named(self, entry):
+        # [TRIVIAL] a tile index that is not an int, or a slot that is not
+        # 0-3 or a slot name, is reported as such; an out-of-range int slot
+        # is not read as a slot of the next tile
+        with pytest.raises(TilingError, match="bad glue entry"):
+            TilingMap.from_json(json.dumps(two_tile_json_with(entry)))
 
 
 class TestIsomorphism:
