@@ -8,7 +8,6 @@ re-checked on every call, so any transcription drift fails loudly.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,7 +19,6 @@ from .tilingmap import (
     TilingError,
     TilingMap,
     build,
-    extract_avc,
     verify,
 )
 
@@ -387,18 +385,16 @@ def _boundary_darts(m: TilingMap, tiles: set[int]) -> list[int]:
 _AXIS_CANDIDATES = (0, -2, 1, -1)
 
 
-def _flip_tiles(
-    m: TilingMap, tiles: Iterable[int], axis: int | None = None
-) -> TilingMap:
-    """Replace the tile segment by its mirror image, re-glued across the
-    reflection through the boundary's delta-pole pair (offset by ``axis``
-    boundary-edge steps).
+def _flip_tiles(m: TilingMap, tiles: Iterable[int]) -> TilingMap:
+    """Replace the tile segment by its mirror image, re-glued across a
+    reflection through the boundary's delta-pole pair.
 
-    With ``axis=None`` the offsets 0, -2, 1, -1 are tried in order and the
-    first non-trivial admissible regluing is returned: the rebuilt map must
-    have parity-admissible vertex signatures with an exactly feasible angle
-    system, and must not be isomorphic to the input (which would be a mere
-    re-rotation, not a flip).
+    The reflection axis is offset from the pole axis by 0, -2, 1 and -1
+    boundary-edge steps in turn, and the first non-trivial admissible
+    regluing is returned: the rebuilt map must have parity-admissible
+    vertex signatures with an exactly feasible angle system, and must not
+    be isomorphic to the input (which would be a mere re-rotation, not a
+    flip).
     """
     tiles = set(tiles)
     if not tiles or len(tiles) >= m.f:
@@ -406,11 +402,10 @@ def _flip_tiles(
     sb = _boundary_darts(m, tiles)
     n = len(sb)
     cb = [m.glue[s] for s in sb]
-    vmap = m.vertex_of_slot()
 
     # gap t = the boundary vertex between edges t-1 and t
     def endpoints(i: int) -> set[int]:
-        return {vmap[sb[i]], vmap[cb[i]]}
+        return {m.vertex_of[sb[i]], m.vertex_of[cb[i]]}
 
     gaps = []
     for t in range(n):
@@ -453,14 +448,7 @@ def _flip_tiles(
             pairs.append((divmod(a, 4), divmod(b, 4)))
         return build(m.f, pairs, orient=orient)
 
-    if axis is not None:
-        try:
-            return reglue(axis)
-        except TilingError as exc:
-            raise FlipInvalidError(
-                f"re-gluing across this boundary is not label-consistent: "
-                f"{exc}") from exc
-
+    form = m.canonical_form()
     for offset in _AXIS_CANDIDATES:
         try:
             flipped = reglue(offset)
@@ -471,7 +459,7 @@ def _flip_tiles(
             continue
         if not angles_feasible(sigs, m.f):
             continue
-        if flipped.is_isomorphic(m):
+        if flipped.canonical_form() == form:
             continue
         return flipped
     raise FlipInvalidError(
@@ -554,14 +542,13 @@ def flip_segment(
     zone_count: int,
     *,
     half_zones: bool = False,
-    axis: int | None = None,
 ) -> TilingMap:
     """Flip a contiguous segment of time zones and re-glue it.
 
     The segment boundary must be a meridian pair through the two delta-pole
     vertices; the segment is replaced by its mirror image, reflected through
-    the pole axis shifted by ``axis`` boundary-edge steps (``None`` selects
-    the first admissible non-trivial axis).  With ``half_zones=True``
+    the first axis near the pole axis that gives an admissible non-trivial
+    regluing (see ``_flip_tiles``).  With ``half_zones=True``
     (eight-tile zones only) positions are counted in half-zone steps, so
     staircase mid-zone meridians become available.  Flipping every zone
     returns the global mirror image.
@@ -589,7 +576,7 @@ def flip_segment(
         return build(m.f, pairs, orient=[1 - o for o in m.orient])
     tiles = [t for j in range(zone_start, zone_start + zone_count)
              for t in units[j % k]]
-    return _flip_tiles(m, tiles, axis=axis)
+    return _flip_tiles(m, tiles)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,11 +90,8 @@ class SphericalQuad:
     delta: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "alpha", "beta", "gamma", "delta"):
-            v = getattr(self, name)
-            if not 0.0 < v < 2.0 * math.pi:
-                raise GeometryError(
-                    f"{name} = {v!r} outside (0, 2*pi)")
+        _check_open_turn(a=self.a, b=self.b, c=self.c, alpha=self.alpha,
+                         beta=self.beta, gamma=self.gamma, delta=self.delta)
 
     @property
     def angles(self) -> tuple[float, float, float, float]:
@@ -111,6 +108,13 @@ class SphericalQuad:
     def distinct_edges(self, tol: float = TOL_DEGENERATE) -> bool:
         return (abs(self.a - self.b) > tol and abs(self.a - self.c) > tol
                 and abs(self.b - self.c) > tol)
+
+
+def _check_open_turn(**values: float) -> None:
+    """Raise GeometryError naming the first value outside (0, 2*pi)."""
+    for name, v in values.items():
+        if not 0.0 < v < 2.0 * math.pi:
+            raise GeometryError(f"{name} = {v!r} outside (0, 2*pi)")
 
 
 def area(q: SphericalQuad) -> float:
@@ -160,6 +164,23 @@ def _trig_coefficients(
     return A, B, C
 
 
+def _linear_terms(
+    ca: float, alpha: float, beta: float, gamma: float, delta: float
+) -> tuple[float, float]:
+    """Right-hand sides (n_b, n_c) of the linear relations
+    sin(beta) sin(gamma) cos b = n_b and sin(gamma) cos c = n_c."""
+    sin_b = math.sin(beta)
+    n_b = (ca * math.sin(alpha) * math.sin(delta)
+           + math.cos(beta) * math.cos(gamma)
+           - math.cos(alpha) * math.cos(delta))
+    n_c = -(math.cos(delta) * sin_b * (math.cos(alpha) - 1.0) * ca * ca
+            + math.sin(alpha) * (math.cos(beta) * math.cos(delta)
+                                 - sin_b * math.sin(delta)) * ca
+            + math.cos(alpha) * math.cos(beta) * math.sin(delta)
+            + math.cos(delta) * sin_b)
+    return n_b, n_c
+
+
 def trig_residuals(q: SphericalQuad) -> tuple[float, float, float]:
     """Residuals of the three edge equations: the quadratic in cos a, the
     linear relation for cos b, and the linear relation for cos c."""
@@ -167,15 +188,9 @@ def trig_residuals(q: SphericalQuad) -> tuple[float, float, float]:
     ca, cb, cc = math.cos(q.a), math.cos(q.b), math.cos(q.c)
     A, B, C = _trig_coefficients(al, be, ga, de)
     r_a = A * ca * ca + B * ca + C
-    r_b = (cb * math.sin(be) * math.sin(ga)
-           - ca * math.sin(al) * math.sin(de)
-           - math.cos(be) * math.cos(ga) + math.cos(al) * math.cos(de))
-    r_c = (math.cos(de) * math.sin(be) * (math.cos(al) - 1.0) * ca * ca
-           + math.sin(al) * (math.cos(be) * math.cos(de)
-                             - math.sin(be) * math.sin(de)) * ca
-           + math.sin(ga) * cc
-           + math.cos(al) * math.cos(be) * math.sin(de)
-           + math.cos(de) * math.sin(be))
+    n_b, n_c = _linear_terms(ca, al, be, ga, de)
+    r_b = cb * math.sin(be) * math.sin(ga) - n_b
+    r_c = math.sin(ga) * cc - n_c
     return (r_a, r_b, r_c)
 
 
@@ -186,10 +201,7 @@ def solve_edges(
     derive cos b and cos c from the linear relations, and keep candidates
     whose cosines lie in [-1, 1], whose edges are all shorter than pi by
     more than ``TOL_DEGENERATE`` and whose holonomy residual is < 1e-9."""
-    for name, v in (("alpha", alpha), ("beta", beta),
-                    ("gamma", gamma), ("delta", delta)):
-        if not 0.0 < v < 2.0 * math.pi:
-            raise GeometryError(f"{name} = {v!r} outside (0, 2*pi)")
+    _check_open_turn(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
     if (abs(beta - delta) < TOL_DEGENERATE
             and abs(gamma - math.pi) > TOL_DEGENERATE):
         raise DegeneracyError(
@@ -215,14 +227,9 @@ def solve_edges(
         if abs(ca) > 1.0 + 1e-12:
             continue
         ca = min(1.0, max(-1.0, ca))
-        cb = ((ca * math.sin(alpha) * math.sin(delta)
-               + math.cos(beta) * math.cos(gamma)
-               - math.cos(alpha) * math.cos(delta)) / (sin_b * sin_g))
-        cc = -((math.cos(delta) * sin_b * (math.cos(alpha) - 1.0) * ca * ca
-                + math.sin(alpha) * (math.cos(beta) * math.cos(delta)
-                                     - sin_b * math.sin(delta)) * ca
-                + math.cos(alpha) * math.cos(beta) * math.sin(delta)
-                + math.cos(delta) * sin_b) / sin_g)
+        n_b, n_c = _linear_terms(ca, alpha, beta, gamma, delta)
+        cb = n_b / (sin_b * sin_g)
+        cc = n_c / sin_g
         if abs(cb) > 1.0 + 1e-12 or abs(cc) > 1.0 + 1e-12:
             continue
         cb = min(1.0, max(-1.0, cb))
@@ -544,9 +551,8 @@ def realize(m: TilingMap, q: SphericalQuad,
                  _boundary_polygon(q, mirror=True))
     frames = {(o, c): _triad(pts[c], pts[(c + 1) % 4]).T
               for o, pts in enumerate(canonical) for c in range(4)}
-    vmap = m.vertex_of_slot()
     tile_corners = tuple(
-        tuple(vmap[4 * t + (c - o) % 4] for c in range(4))
+        tuple(m.vertex_of[4 * t + (c - o) % 4] for c in range(4))
         for t, o in enumerate(m.orient))
 
     coords: dict[int, np.ndarray] = {}

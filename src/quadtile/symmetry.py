@@ -66,20 +66,16 @@ class MapAutomorphism:
             inv[p] = i
         return MapAutomorphism(tuple(inv), self.reversing)
 
-    def fixed_cells(self, m: TilingMap,
-                    vmap: dict[int, int] | None = None) -> set[tuple]:
-        """Tiles, edges and vertices mapped to themselves.  ``vmap`` is
-        ``m.vertex_of_slot()``, passed in when it is already built."""
+    def fixed_cells(self, m: TilingMap) -> set[tuple]:
+        """Tiles, edges and vertices mapped to themselves."""
         perm = self.perm
         image = [4 * p + pos for p in perm for pos in range(4)]  # of darts
         cells: set[tuple] = {("tile", t) for t in range(m.f) if perm[t] == t}
         for s1, s2 in enumerate(m.glue):
             if s1 < s2 and (image[s1], image[s2]) in ((s1, s2), (s2, s1)):
                 cells.add(("edge", (s1, s2)))
-        if vmap is None:
-            vmap = m.vertex_of_slot()
-        for v, orbit in enumerate(m._orbits):
-            if all(vmap[image[s]] == v for s in orbit):
+        for v, cycle in enumerate(m.vertices):
+            if all(m.vertex_of[image[s]] == v for s in cycle.darts):
                 cells.add(("vertex", v))
         return cells
 
@@ -156,16 +152,9 @@ def _vertex_fans(m: TilingMap) -> list[list[tuple[int, str, str]]]:
     """Per vertex: the cyclic fan [(edge_key, edge_label, wedge_angle)],
     where the wedge is the tile corner between this edge and the previous
     one in the cycle."""
-    fans = []
-    for orbit in m._orbits:
-        fan = []
-        for s in orbit:
-            edge = (min(s, m.glue[s]), max(s, m.glue[s]))
-            label = EDGE_LABELS[s % 4]
-            wedge = ANGLE_NAMES[m.dart_start_corner(s)]
-            fan.append((edge, label, wedge))
-        fans.append(fan)
-    return fans
+    return [[((min(s, m.glue[s]), max(s, m.glue[s])), EDGE_LABELS[s % 4],
+              ANGLE_NAMES[c]) for s, c in zip(v.darts, v.corners)]
+            for v in m.vertices]
 
 
 def _bisecting_pairs(fan: list[tuple[int, str, str]]) -> list[tuple[int, int]]:
@@ -199,7 +188,6 @@ def vertex_bisecting_cycles(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
     label-wise mirror-equal halves).  These are the only candidate traces of
     mirror planes."""
     fans = _vertex_fans(m)
-    vmap = m.vertex_of_slot()
     # continuation map: at vertex v, arriving along edge e, which edges e'
     # may continue a bisecting cycle
     cont: dict[tuple[int, tuple[int, int]], set[tuple[int, int]]] = {}
@@ -210,7 +198,7 @@ def vertex_bisecting_cycles(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
             cont.setdefault((v, ej), set()).add(ei)
 
     def endpoints(edge: tuple[int, int]) -> tuple[int, int]:
-        return (vmap[edge[0]], vmap[edge[1]])
+        return (m.vertex_of[edge[0]], m.vertex_of[edge[1]])
 
     cycles: set[tuple[tuple[int, int], ...]] = set()
 
@@ -291,12 +279,11 @@ def classify(m: TilingMap) -> SymmetryClass:
     np_ = len(preserving)
     orders = [g.order() for g in preserving]
 
-    vmap = m.vertex_of_slot()
     mirrors, has_inv = [], False
     for g in reversing:
         if g.order() != 2:
             continue
-        cells = g.fixed_cells(m, vmap)
+        cells = g.fixed_cells(m)
         if any(kind == "edge" for kind, _ in cells):
             mirrors.append(g)
         has_inv = has_inv or not cells

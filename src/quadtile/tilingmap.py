@@ -4,8 +4,11 @@ A map consists of f quadrilateral tiles, each with corners A, B, C, D
 (carrying angles alpha, beta, gamma, delta) and edge slots AB, BC, CD, DA
 (carrying edge labels a, b, c, a), a fixed-point-free gluing involution on
 the 4f slots, and a per-tile orientation bit: 0 means the corners A,B,C,D
-read counterclockwise on the sphere, 1 marks a mirror copy.  Vertices are
-derived dart orbits.
+read counterclockwise on the sphere, 1 marks a mirror copy.  Slot s is
+also a dart: its edge traversed counterclockwise around its tile on the
+sphere.  The vertices are the orbits of sigma, s -> face_next(glue[s]),
+the next dart ccw around the vertex at the start of s; ``build`` walks
+them once into the vertex table.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .combinatorics import (
 __all__ = [
     "SLOT_NAMES",
     "EDGE_LABELS",
-    "CORNER_NAMES",
     "TilingError",
     "LabelMismatchError",
     "InvolutionError",
@@ -45,7 +47,6 @@ __all__ = [
 
 SLOT_NAMES = ("AB", "BC", "CD", "DA")
 EDGE_LABELS = ("a", "b", "c", "a")
-CORNER_NAMES = ("A", "B", "C", "D")
 
 
 class TilingError(ValueError):
@@ -70,29 +71,33 @@ class EulerError(TilingError):
 
 @dataclass(frozen=True)
 class VertexCycle:
-    """A vertex as a cyclic sequence of (tile, corner) incidences."""
+    """A vertex as its sigma orbit: ``darts`` are the slots whose ccw dart
+    starts here, each followed by the next dart ccw around the vertex, and
+    ``corners`` the corner (0=A..3=D) of each dart's tile at the vertex."""
 
-    incidences: tuple[tuple[int, str], ...]
+    darts: tuple[int, ...]
+    corners: tuple[int, ...]
 
     @property
     def degree(self) -> int:
-        return len(self.incidences)
+        return len(self.darts)
 
     @functools.cached_property
     def signature(self) -> VertexSignature:
-        counts = Counter(corner for _, corner in self.incidences)
-        return VertexSignature(
-            counts["A"], counts["B"], counts["C"], counts["D"])
+        c = self.corners
+        return VertexSignature(c.count(0), c.count(1), c.count(2), c.count(3))
 
 
 @dataclass(frozen=True)
 class TilingMap:
-    """Immutable validated tiling map."""
+    """Immutable validated tiling map; ``vertex_of[s]`` is the index in
+    ``vertices`` of the vertex at the start of dart s."""
 
     f: int
     glue: tuple[int, ...]
     orient: tuple[int, ...]
     vertices: tuple[VertexCycle, ...] = field(compare=False)
+    vertex_of: tuple[int, ...] = field(compare=False, repr=False)
 
     # -- slot helpers -----------------------------------------------------
 
@@ -110,18 +115,7 @@ class TilingMap:
 
     def face_next(self, slot: int) -> int:
         """Next boundary dart of the same tile in global ccw order."""
-        t, p = divmod(slot, 4)
-        step = -1 if self.orient[t] else 1
-        return 4 * t + (p + step) % 4
-
-    def dart_start_corner(self, slot: int) -> int:
-        """Corner index (0=A..3=D) at which this slot's ccw dart starts."""
-        t, p = divmod(slot, 4)
-        return (p + 1) % 4 if self.orient[t] else p
-
-    def sigma(self, slot: int) -> int:
-        """Next dart counterclockwise around the vertex at the dart start."""
-        return self.face_next(self.glue[slot])
+        return _face_next(self.orient, slot)
 
     # -- queries ----------------------------------------------------------
 
@@ -138,21 +132,9 @@ class TilingMap:
         return sorted(
             (s, self.glue[s]) for s in range(4 * self.f) if s < self.glue[s])
 
-    def vertex_of_slot(self) -> dict[int, int]:
-        """Map each slot (dart) to the index of the vertex it starts at."""
-        out = {}
-        for vi, cyc in enumerate(self.vertices):
-            for slot in self._orbits[vi]:
-                out[slot] = vi
-        return out
-
     def degree_vector(self) -> DegreeVector:
         counts = Counter(v.degree for v in self.vertices)
         return DegreeVector(f=self.f, v=dict(counts))
-
-    # filled in by build(); kept off the equality contract
-    _orbits: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False)
 
     # -- serialization ----------------------------------------------------
 
@@ -338,41 +320,34 @@ def build(
         raise DisconnectedError(
             f"map is disconnected: reached {len(seen)} of {f} tiles")
 
-    m = TilingMap(f=f, glue=tuple(glue), orient=orient_bits,
-                  vertices=(), _orbits=())
-    orbits = _sigma_orbits(m)
-    vertices = tuple(
-        VertexCycle(tuple(
-            (s // 4, CORNER_NAMES[m.dart_start_corner(s)]) for s in orbit))
-        for orbit in orbits)
-    m = TilingMap(f=f, glue=tuple(glue), orient=orient_bits,
-                  vertices=vertices, _orbits=orbits)
+    # the sigma orbits, each from its least dart, in order of that dart
+    vertex_of = [-1] * (4 * f)
+    vertices = []
+    for s0 in range(4 * f):
+        darts, s = [], s0
+        while vertex_of[s] < 0:
+            vertex_of[s] = len(vertices)
+            darts.append(s)
+            s = _face_next(orient_bits, glue[s])
+        if darts:
+            vertices.append(VertexCycle(tuple(darts), tuple(
+                (d % 4 + orient_bits[d // 4]) % 4 for d in darts)))
 
     v = len(vertices)
     if v - 2 * f + f != 2:
         raise EulerError(
             f"Euler characteristic v - e + f = {v - 2 * f + f}, expected 2")
-    return m
+    return TilingMap(f=f, glue=tuple(glue), orient=orient_bits,
+                     vertices=tuple(vertices), vertex_of=tuple(vertex_of))
+
+
+def _face_next(orient: Sequence[int], slot: int) -> int:
+    t, p = divmod(slot, 4)
+    return 4 * t + (p - 1 if orient[t] else p + 1) % 4
 
 
 def _slot_name(slot: int) -> str:
     return f"tile {slot // 4} slot {SLOT_NAMES[slot % 4]}"
-
-
-def _sigma_orbits(m: TilingMap) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * (4 * m.f)
-    orbits = []
-    for s0 in range(4 * m.f):
-        if seen[s0]:
-            continue
-        orbit = []
-        s = s0
-        while not seen[s]:
-            seen[s] = True
-            orbit.append(s)
-            s = m.sigma(s)
-        orbits.append(tuple(orbit))
-    return tuple(orbits)
 
 
 def extract_avc(m: TilingMap) -> Counter[VertexSignature]:
@@ -387,22 +362,16 @@ def balance_pair_counts(m: TilingMap) -> tuple[int, int, int, int, int, int]:
     endpoint the two flanking corners are gamma or delta; for each b-edge
     endpoint they are beta or gamma.
     """
-    c_counts = Counter()
-    b_counts = Counter()
-    for s, t in m.edges():
-        pos = s % 4
-        if pos not in (1, 2):
-            continue
-        for dart in (s, t):
-            c1 = CORNER_NAMES[m.dart_start_corner(dart)]
-            c2 = CORNER_NAMES[m.dart_start_corner(m.sigma(dart))]
-            pair = frozenset((c1, c2)) if c1 != c2 else frozenset((c1,))
-            (c_counts if pos == 2 else b_counts)[pair] += 1
-    gg = frozenset("C")
-    return (
-        c_counts[gg], c_counts[frozenset("CD")], c_counts[frozenset("D")],
-        b_counts[frozenset("B")], b_counts[frozenset("BC")], b_counts[gg],
-    )
+    # (slot, lesser corner, greater corner) of each b-dart (slot 1 = BC)
+    # and c-dart (2 = CD), flanked by its corner and the next dart's
+    counts: Counter[tuple[int, int, int]] = Counter()
+    for v in m.vertices:
+        c = v.corners
+        for s, c1, c2 in zip(v.darts, c, c[1:] + c[:1]):
+            if s % 4 in (1, 2):
+                counts[s % 4, min(c1, c2), max(c1, c2)] += 1
+    return (counts[2, 2, 2], counts[2, 2, 3], counts[2, 3, 3],
+            counts[1, 1, 1], counts[1, 1, 2], counts[1, 2, 2])
 
 
 def verify(

@@ -1,12 +1,21 @@
 """Combinatorial map structure, validation, serialization, verification."""
 
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
+import quadtile
 from quadtile.angles import VertexSignature
-from quadtile.constructors import earth_map, pq_earth_map, quad_subdivide
+from quadtile.constructors import (
+    DomainError,
+    FlipInvalidError,
+    earth_map,
+    flip_segment,
+    pq_earth_map,
+    quad_subdivide,
+)
 from quadtile.tilingmap import (
     DisconnectedError,
     InvolutionError,
@@ -39,6 +48,16 @@ BAD_GLUE_ENTRIES = [[0, 5, 0, 4], [0, 4, 0, 0], [0.0, "AB", 1, "AB"],
                     [0, "XY", 1, "AB"]]
 BAD_GLUE_IDS = ["slot-5", "slot-4", "float-tile", "bool-tile", "float-slot",
                 "name-XY"]
+
+
+def reversed_tiles(m: TilingMap) -> TilingMap:
+    """The map rebuilt from its JSON with tile t renamed f - 1 - t and the
+    glue entries and the two ends of each entry reversed."""
+    data = json.loads(m.to_json())
+    glue = [[m.f - 1 - t2, s2, m.f - 1 - t1, s1]
+            for t1, s1, t2, s2 in reversed(data["glue"])]
+    return TilingMap.from_json(json.dumps(
+        {"f": m.f, "glue": glue, "orient": data["orient"][::-1]}))
 
 
 def two_tile_json_with(entry: list) -> dict:
@@ -96,10 +115,20 @@ class TestStructure:
         assert labels == {"a": 16, "b": 8, "c": 8}
 
     def test_sigma_orbits_partition(self):
-        # [TRIVIAL] vertex orbits partition all 4f darts
-        m = earth_map(12)
-        seen = [s for orbit in m._orbits for s in orbit]
-        assert sorted(seen) == list(range(4 * m.f))
+        # [TRIVIAL] vertex orbits partition all 4f darts; vertex_of names
+        # each dart's cycle, a dart's corner is its slot shifted by the
+        # tile's orientation bit, and each dart is followed by
+        # face_next(glue[dart]); also after a relabelled from_json round trip
+        for base in (earth_map(12), pq_earth_map(16)):
+            for m in (base, reversed_tiles(base)):
+                seen = [s for v in m.vertices for s in v.darts]
+                assert sorted(seen) == list(range(4 * m.f))
+                for i, v in enumerate(m.vertices):
+                    assert {m.vertex_of[s] for s in v.darts} == {i}
+                    assert v.corners == tuple(
+                        (s % 4 + m.orient[s // 4]) % 4 for s in v.darts)
+                    assert v.darts[1:] + v.darts[:1] == tuple(
+                        m.face_next(m.glue[s]) for s in v.darts)
 
 
 class TestAVC:
@@ -143,6 +172,87 @@ class TestVerify:
             quad_subdivide("cube"))
         assert n_gg_c == n_dd_c
         assert n_bb_b == n_gg_b
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def cycles(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
+    """Each vertex cycle as its (tile, corner index) sequence."""
+    return [tuple(zip([s // 4 for s in v.darts], v.corners))
+            for v in m.vertices]
+
+
+#: (constructor, argument) -> balance_pair_counts and the digest of the
+#: vertex cycles in vertex order, recorded on the vertex cycles' earlier
+#: (tile, corner letter) form
+VERTEX_GOLDEN = {
+    ("pq_earth_map", 64): ((32, 0, 32, 32, 0, 32),
+        "b3c688ae070e59889e226db5a450cffaca44a41c1f43204db87e9a41faf9a225"),
+    ("pq_earth_map", 256): ((128, 0, 128, 128, 0, 128),
+        "497c77630f07157e1b8f9b7e96686ccd901a26b54dffbedd02f11ee40461eff4"),
+    ("earth_map", 128): ((0, 128, 0, 0, 128, 0),
+        "986c50f98ddf2ac6dbcc71087cb2a91a35a77b8661bc76568d170ae6abe3c2bc"),
+    ("earth_map", 256): ((0, 256, 0, 0, 256, 0),
+        "031abe51be2fa26af80b7e4531dbf952d4c2c7b87301ff283cdf1d72060ca27d"),
+    ("quad_subdivide", "cube"): ((12, 0, 12, 12, 0, 12),
+        "ddf3f69e1ddb1696facb9f64576dd78a4bceb0b75bf15dda12010e68ac121d8c"),
+    ("quad_subdivide", "octahedron"): ((12, 0, 12, 12, 0, 12),
+        "62327b2241b8ae96e1fb22bf2d12f4db0f4dba0290ed11088dfdacc856526416"),
+    ("quad_subdivide", "triangular_prism"): ((12, 0, 12, 12, 0, 12),
+        "cd5af01dd017911c3a0e19f4029e80ca0a31e5f3031928469997c3f2c97601ae"),
+    ("family_alphadelta", 56): ((28, 0, 28, 28, 0, 28),
+        "7d5cb7df06fe6e5786361acb9e3d61065237e13c3fbdaa07a4fdfe08b9032395"),
+    ("family_alphadelta", 120): ((60, 0, 60, 60, 0, 60),
+        "9614c858d131da5cbd1ba54f9705fe0a060fa325a7a7268fad42c1285583819a"),
+    ("family_beta2delta", 56): ((28, 0, 28, 28, 0, 28),
+        "0ff8f1b2cb0b4b26f9b57ce7fdc0eb69f898e66a278bf6e7f35494f39d572115"),
+    ("family_beta2delta", 120): ((60, 0, 60, 60, 0, 60),
+        "7341b22663f09ff289c08c16c55f25e0febb8e66f021bf6800bf08ae9cae2f84"),
+    ("pq_earth_map", 16): ((8, 0, 8, 8, 0, 8),
+        "74de072ec9c467670fc1376a5f76cdf69f59a03d4160801e9f5f64103b5b2aec"),
+    ("earth_map", 8): ((0, 8, 0, 0, 8, 0),
+        "5ba33494d16c8fbca139e2aca248b2a68a657461635f1849e320b4d1251697e2"),
+    ("family_alphadelta", 24): ((12, 0, 12, 12, 0, 12),
+        "22cd3abfa7e00829fc7bb76daa2d16e2571eb86361e8fe73205e078d7970316e"),
+    ("family_beta2delta", 24): ((12, 0, 12, 12, 0, 12),
+        "1f89954404dd302274418aa65b24ec3d05326f8a99dfaa9fdc03696cd11fa9ea"),
+}
+
+#: digest of (half_zones, start, count, balance_pair_counts) over every
+#: admissible flip_segment output of pq_earth_map(24), 33 maps
+FLIP_BALANCE_GOLDEN = (
+    "5ed03f432efde3fd335669d4f5f6187a2ff9f7ce98ce42a29b9d9521e3fdea59")
+
+
+class TestGoldenVertexTable:
+    @pytest.mark.parametrize("name,arg", list(VERTEX_GOLDEN))
+    def test_cycles_and_balance(self, name, arg):
+        # [DERIVED] the exact pair counts, not only gg = dd and bb = gg,
+        # and every vertex cycle in vertex order
+        m = getattr(quadtile, name)(arg)
+        counts, digest = VERTEX_GOLDEN[name, arg]
+        assert balance_pair_counts(m) == counts
+        assert _digest(cycles(m)) == digest
+
+    def test_flip_balance(self):
+        # [DERIVED] the flip modifications of pq_earth_map(24)
+        m = pq_earth_map(24)
+        lines = []
+        for half in (False, True):
+            k = 6 if half else 3
+            for start in range(k):
+                for count in range(1, k + 1):
+                    try:
+                        flipped = flip_segment(m, start, count,
+                                               half_zones=half)
+                    except (FlipInvalidError, DomainError):
+                        continue
+                    lines.append((half, start, count,
+                                  balance_pair_counts(flipped)))
+        assert len(lines) == 33
+        assert _digest(lines) == FLIP_BALANCE_GOLDEN
 
 
 class TestSerialization:
