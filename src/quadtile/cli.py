@@ -4,7 +4,7 @@ All output is deterministic (sorted collections, floats printed with 17
 significant digits).  Exit codes: 0 success, 1 verification or realization
 failure, 2 usage/parse/domain error.  The environment variable
 ``QUADTILE_TOL_REALIZE`` overrides the realization closure tolerance
-(default 1e-6).
+(default 1e-6); it must be a finite number > 0, or ``realize`` exits 2.
 
 Each subcommand imports the library layer it runs when it is called, so
 importing this module loads no ``quadtile`` submodule, and only
@@ -166,6 +166,9 @@ def cmd_realize(args: argparse.Namespace) -> int:
                                    geometry.TOL_REALIZE))
     except ValueError as exc:
         return _fail(f"QUADTILE_TOL_REALIZE: {exc}", 2)
+    if not (math.isfinite(tol) and tol > 0):
+        return _fail(f"QUADTILE_TOL_REALIZE must be a finite number > 0, "
+                     f"got {tol:g}", 2)
     try:
         m = _load_map(args.mapfile)
     except (OSError, ValueError) as exc:

@@ -192,34 +192,41 @@ def _dual(faces: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def _vertex_subdivision(faces: tuple[tuple[int, ...], ...]) -> TilingMap:
-    """Barycentric quads with A at base vertices.
+    """Barycentric quads with A at base vertices: tile 4 * fi + i sits at
+    corner faces[fi][i].
 
     Every base vertex must have degree 3 and every face degree 4 (so that A
     vertices become alpha^3 and face centers gamma^4).  The b/c spoke labels
-    alternate around each face and differ across each base edge; of the two
-    consistent global assignments the one whose map has the smaller canonical
-    form is returned.
+    alternate around each face and differ across each base edge.  The two
+    such assignments differ by swapping b and c everywhere, which the
+    canonical form identifies (its flip renames b<->c), so the first one is
+    used.
     """
-    nfaces = len(faces)
     assert all(len(face) == 4 for face in faces)
-    edges = sorted({frozenset((f_[i], f_[(i + 1) % 4]))
-                    for f_ in faces for i in range(4)})
-    best = None
-    for bits in itertools.product((0, 1), repeat=nfaces):
-        labels = _spoke_labels(faces, bits)
-        if labels is None:
-            continue
-        m = _build_vertex_subdivision(faces, labels)
-        form = m.canonical_form()
-        if best is None or form < best[0]:
-            best = (form, m)
-    if best is None:
-        raise AssertionError("no consistent b/c spoke assignment found")
-    assert len(edges) * 2 == 24  # 12 base edges -> 24 half-edges = e_a
-    return best[1]
+    labels = next(filter(None, (
+        _spoke_labels(faces, bits)
+        for bits in itertools.product((0, 1), repeat=len(faces)))))
+    orient = []
+    # edge key -> the two (tile, slot) ends glued along it
+    ends: dict[tuple, list[tuple[int, str]]] = {}
+    for fi, face in enumerate(faces):
+        for i, v in enumerate(face):
+            t = 4 * fi + i
+            e_next = frozenset((v, face[(i + 1) % 4]))  # ccw-next midpoint
+            e_prev = frozenset((v, face[i - 1]))
+            # orientation 0: A -> B runs ccw within the face
+            mirrored = labels[fi, e_next] != "b"
+            b_edge, c_edge = (e_prev, e_next) if mirrored else (e_next, e_prev)
+            orient.append(int(mirrored))
+            for slot, key in (("AB", ("half", b_edge, v)),
+                              ("BC", ("spoke", fi, b_edge)),
+                              ("CD", ("spoke", fi, c_edge)),
+                              ("DA", ("half", c_edge, v))):
+                ends.setdefault(key, []).append((t, slot))
+    return build(4 * len(faces), ends.values(), orient=orient)
 
 
-def _spoke_labels(faces, bits) -> dict[tuple[int, int], str] | None:
+def _spoke_labels(faces, bits) -> dict[tuple[int, frozenset[int]], str] | None:
     """Assign 'b'/'c' to each (face index, midpoint-edge) spoke.
 
     bits[fi] picks which of the two alternating patterns face fi uses; the
@@ -238,44 +245,6 @@ def _spoke_labels(faces, bits) -> dict[tuple[int, int], str] | None:
         if len(by_face) != 2 or len(set(by_face.values())) != 2:
             return None
     return labels
-
-
-def _build_vertex_subdivision(faces, labels) -> TilingMap:
-    # tile (fi, i) for corner vertex faces[fi][i]
-    tile_ids: dict[tuple[int, int], int] = {}
-    for fi, face in enumerate(faces):
-        for i in range(4):
-            tile_ids[(fi, i)] = 4 * fi + i
-
-    # per tile: the b-spoke midpoint edge and c-spoke midpoint edge
-    orient = [0] * (4 * len(faces))
-    tile_edges: dict[int, dict[str, tuple]] = {}
-    for fi, face in enumerate(faces):
-        for i in range(4):
-            v = face[i]
-            e_next = frozenset((v, face[(i + 1) % 4]))  # ccw-next midpoint
-            e_prev = frozenset((v, face[(i - 1) % 4]))
-            t = tile_ids[(fi, i)]
-            if labels[(fi, e_next)] == "b":
-                b_edge, c_edge = e_next, e_prev
-                orient[t] = 0  # A -> B runs ccw within the face
-            else:
-                b_edge, c_edge = e_prev, e_next
-                orient[t] = 1
-            tile_edges[t] = {
-                "AB": ("half", b_edge, v), "BC": ("spoke", fi, b_edge),
-                "CD": ("spoke", fi, c_edge), "DA": ("half", c_edge, v),
-            }
-
-    glues = []
-    by_key: dict[tuple, list[tuple[int, str]]] = {}
-    for t, slots in tile_edges.items():
-        for slot, key in slots.items():
-            by_key.setdefault(key, []).append((t, slot))
-    for key, ends in by_key.items():
-        assert len(ends) == 2, f"edge {key} has {len(ends)} incidences"
-        glues.append((ends[0], ends[1]))
-    return build(4 * len(faces), glues, orient=orient)
 
 
 def _prism_subdivision() -> TilingMap:
@@ -360,8 +329,8 @@ class TimeZoneDisk:
 def _boundary_darts(m: TilingMap, tiles: set[int]) -> list[int]:
     """Boundary slots of the tile set, in one closed walk (segment on the
     left).  Raises FlipInvalidError unless the boundary is a single cycle."""
-    bset = {s for s in range(4 * m.f)
-            if s // 4 in tiles and m.glue[s] // 4 not in tiles}
+    bset = {s for t in tiles for s in range(4 * t, 4 * t + 4)
+            if m.glue[s] // 4 not in tiles}
     if not bset:
         raise FlipInvalidError("tile set has empty boundary")
     start = min(bset)
@@ -474,54 +443,33 @@ def decompose_time_zones(m: TilingMap) -> list[TimeZoneDisk]:
     ``flipped`` flag marks zones carrying mirrored orientation.
     """
     f = m.f
-    glue_pairs = {(s // 4, SLOT_NAMES[s % 4],
-                   m.glue[s] // 4, SLOT_NAMES[m.glue[s] % 4])
-                  for s in range(4 * f)}
 
-    def has(t1, s1, t2, s2):
-        return (t1, s1, t2, s2) in glue_pairs
+    def glued(t1: int, s1: str, t2: int, s2: str) -> bool:
+        return m.glue[m.slot(t1, s1)] == m.slot(t2, s2)
+
+    def zone(tiles: Iterable[int], flipped: bool) -> TimeZoneDisk:
+        darts = _boundary_darts(m, set(tiles))
+        return TimeZoneDisk(
+            tiles=tuple(tiles),
+            boundary=tuple((s // 4, SLOT_NAMES[s % 4]) for s in darts),
+            flipped=flipped)
 
     # eight-tile zones: orientation pattern identifies each block and flips
     if f % 8 == 0 and f >= 16:
-        k = f // 8
-        kinds = []
-        for z in range(k):
-            block = tuple(m.orient[8 * z: 8 * z + 8])
-            if block == _PQ_ZONE_ORIENT:
-                kinds.append(False)
-            elif block == tuple(1 - o for o in _PQ_ZONE_ORIENT):
-                kinds.append(True)
-            else:
-                kinds = None
-                break
-        if kinds is not None and all(
-                has(8 * z + 0, "CD", 8 * z + 1, "CD") and
-                has(8 * z + 6, "CD", 8 * z + 7, "CD") for z in range(k)):
-            return _matched_zones([
-                TimeZoneDisk(
-                    tiles=tuple(range(8 * z, 8 * z + 8)),
-                    boundary=tuple(
-                        (s // 4, SLOT_NAMES[s % 4]) for s in _boundary_darts(
-                            m, set(range(8 * z, 8 * z + 8)))),
-                    flipped=kinds[z],
-                )
-                for z in range(k)
-            ])
+        mirror = tuple(1 - o for o in _PQ_ZONE_ORIENT)
+        bases = range(0, f, 8)
+        if all(m.orient[b:b + 8] in (_PQ_ZONE_ORIENT, mirror)
+               and glued(b, "CD", b + 1, "CD")
+               and glued(b + 6, "CD", b + 7, "CD") for b in bases):
+            return _matched_zones([zone(range(b, b + 8),
+                                        m.orient[b:b + 8] == mirror)
+                                   for b in bases])
 
     # two-tile zones of the earth map tiling
     k = f // 2
-    if all(has(i, "BC", k + i, "BC") for i in range(k)) and all(
-            has(i, "DA", (i + 1) % k, "AB") for i in range(k)):
-        return _matched_zones([
-            TimeZoneDisk(
-                tiles=(i, k + i),
-                boundary=tuple(
-                    (s // 4, SLOT_NAMES[s % 4])
-                    for s in _boundary_darts(m, {i, k + i})),
-                flipped=False,
-            )
-            for i in range(k)
-        ])
+    if all(glued(i, "BC", k + i, "BC") and glued(i, "DA", (i + 1) % k, "AB")
+           for i in range(k)):
+        return _matched_zones([zone((i, k + i), False) for i in range(k)])
     raise DomainError("map is not time-zone decomposable")
 
 

@@ -105,9 +105,9 @@ def automorphisms(m: TilingMap) -> list[MapAutomorphism]:
         queue = list(group.values())
         for g in queue:  # grows while it is walked
             for s in gens:
-                h = s.compose(g)
-                if h.perm[0] not in group:
-                    group[h.perm[0]] = h
+                image = s.perm[g.perm[0]]  # of tile 0 under s after g
+                if image not in group:
+                    group[image] = h = s.compose(g)
                     queue.append(h)
     return sorted(group.values(), key=lambda g: (g.reversing, g.perm))
 

@@ -128,9 +128,10 @@ class TilingMap:
         return len(self.vertices)
 
     def edges(self) -> list[tuple[int, int]]:
-        """Each glued pair once, (smaller slot, larger slot), sorted."""
-        return sorted(
-            (s, self.glue[s]) for s in range(4 * self.f) if s < self.glue[s])
+        """Each glued pair once, (smaller slot, larger slot), in ascending
+        order of the smaller slot."""
+        return [(s, self.glue[s]) for s in range(4 * self.f)
+                if s < self.glue[s]]
 
     def degree_vector(self) -> DegreeVector:
         counts = Counter(v.degree for v in self.vertices)

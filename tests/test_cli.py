@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -207,6 +208,17 @@ class TestRealize:
                            "--delta", "pi/3")
         assert code == 2 and "QUADTILE_TOL_REALIZE" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_tolerance_env_out_of_range(self, capsys, cube_file, monkeypatch,
+                                        value):
+        # [DERIVED] only a finite tolerance > 0 is usable: nan would switch
+        # both closure checks off and -1 would fail every map
+        monkeypatch.setenv("QUADTILE_TOL_REALIZE", value)
+        code, out, err = run(capsys, "realize", str(cube_file),
+                             "--delta", "pi/3")
+        assert code == 2 and not out
+        assert err.startswith("error: QUADTILE_TOL_REALIZE")
+
 
 class TestSymmetry:
     def test_cube(self, capsys, cube_file):
@@ -248,6 +260,79 @@ class TestAVCSearch:
         # [TRIVIAL]
         code, _, _ = run(capsys, "avc-search", "--f", "7")
         assert code == 2
+
+
+#: the benchmark's nine-command CLI session plus the other two subdivisions
+SESSION = [
+    ["construct", "pq-emt", "--f", "24", "-o", "pq24.json"],
+    ["construct", "subdivision", "--base", "cube", "-o", "cube.json"],
+    ["verify", "pq24.json", "--expect", "αβ²×12,α²δ²×6,γ⁴×6,δ⁶×2"],
+    ["verify", "cube.json", "--expect", "α³×8,β²δ²×12,γ⁴×6"],
+    ["realize", "pq24.json", "--quad", "family", "--obj", "pq24.obj",
+     "--svg", "pq24.svg"],
+    ["realize", "cube.json", "--delta", "pi/3"],
+    ["symmetry", "pq24.json", "--generators"],
+    ["symmetry", "cube.json", "--generators"],
+    ["avc-search", "--f", "8", "--max-degree", "5"],
+    ["construct", "subdivision", "--base", "octahedron", "-o", "oct.json"],
+    ["construct", "subdivision", "--base", "triangular_prism",
+     "-o", "prism.json"],
+]
+
+#: sha256 of repr((exit code, stdout, stderr)) per SESSION command, then of
+#: the bytes of every file the session writes; recorded before the
+#: constructors were rewritten to build each map directly
+SESSION_GOLDEN = {
+    "construct pq-emt --f 24 -o pq24.json":
+        "9dbf31f2681e6d2ad8764708010103ab80bdca4c8f2d6789785b6d4d0a6dc704",
+    "construct subdivision --base cube -o cube.json":
+        "d43271715bca4063f0dbd54b2c10b0d14aea209bc2ed1f969a119c91dcf39059",
+    "verify pq24.json --expect αβ²×12,α²δ²×6,γ⁴×6,δ⁶×2":
+        "f8e64cb4a83541b8f5446b1833b544cb5127b399e4e1aef59b3f151201f9962a",
+    "verify cube.json --expect α³×8,β²δ²×12,γ⁴×6":
+        "d94c5d79736eddeb5755de1c21723dfd680b14090ae1adb0b130d3f886cc5d86",
+    "realize pq24.json --quad family --obj pq24.obj --svg pq24.svg":
+        "ed80f2ef0a3b7079bc07b2f29cc3b9586b6553a1c6dbc87c7b6c47c04a51ab43",
+    "realize cube.json --delta pi/3":
+        "2e1703ea37cdce52ead272c938edbdb756dbe86581dd5f12099bd3725bb68f1c",
+    "symmetry pq24.json --generators":
+        "142520f253770ca88dd623e4b16bebce1afa56595937d2be2296228db5996c27",
+    "symmetry cube.json --generators":
+        "83ee6958923ba44b3af1073674ded51c420a0a1064a854ecb01463aae6fe1aed",
+    "avc-search --f 8 --max-degree 5":
+        "edf7a39a0cdc790d0b307a1ea2e3b16c7a457e82a5b53dd7e1a05179abc24008",
+    "construct subdivision --base octahedron -o oct.json":
+        "e1eadd17c55a83335dfe2f2300c0a75fd187e265c623ca213f06a2cd45555d41",
+    "construct subdivision --base triangular_prism -o prism.json":
+        "2dbb121207e07a73a6a4b36b7d8677a5767be99cf3902b819e1957b4142a89dc",
+    "cube.json":
+        "2d4b25ebaebf19241588beb912b2088677aed18e917f6318528b418a9ba1da2f",
+    "oct.json":
+        "ca34f62d450ad8140a8ea42c5f3b6d02f004b84b1da29f40b719bf5c5405748a",
+    "pq24.json":
+        "3f12191cdbe5a7ab94f29eec5d10b94e8380626e7eba8b606662e8983f7f8210",
+    "pq24.obj":
+        "b21b7defceedeff73c170e4542696071466444be7241a1d3ee74dfcc2e94c74f",
+    "pq24.svg":
+        "857a70ad279255153f3779a2b6cec5e0319537f71f8b11736f06ac6348e70317",
+    "prism.json":
+        "41c4c388760ac1774d4d34c112352fc311ff814cd24a91af727e5b6709f43116",
+}
+
+
+class TestGoldenSession:
+    def test_session(self, capsys, tmp_path, monkeypatch):
+        # [DERIVED] the whole CLI session reproduces its output byte for byte
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("QUADTILE_TOL_REALIZE", raising=False)
+        got = {}
+        for argv in SESSION:
+            result = run(capsys, *argv)  # (exit code, stdout, stderr)
+            got[" ".join(argv)] = hashlib.sha256(
+                repr(result).encode()).hexdigest()
+        for path in sorted(tmp_path.iterdir()):
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == SESSION_GOLDEN
 
 
 class TestImports:

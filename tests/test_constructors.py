@@ -1,5 +1,6 @@
 """Constructors: earth map families, subdivisions, flips, derived families."""
 
+import hashlib
 import random
 
 import pytest
@@ -140,6 +141,49 @@ class TestFlip:
         # [TRIVIAL] the cube subdivision has no time-zone structure
         with pytest.raises(DomainError):
             decompose_time_zones(quad_subdivide("cube"))
+
+
+#: map -> sha256 of repr([(tiles, boundary, flipped) per zone]), recorded
+#: before decompose_time_zones read the glue table directly
+DECOMPOSE_GOLDEN = {
+    "pq_earth_map(24)": (
+        lambda: pq_earth_map(24),
+        "598e6a57127755bb13fd9fde4994717c38c2159a3e6ad6abcc7a51afc49cbe11"),
+    "pq_earth_map(40)": (
+        lambda: pq_earth_map(40),
+        "73abab191e707de9e5b9a62f07f6563491dc41ba67f63fb5cf1ce5f77ded991f"),
+    "earth_map(10)": (
+        lambda: earth_map(10),
+        "75925ce393b26ed08fe285c3ec366d560dbf2bb7d89fb34bb50235434cbad5f4"),
+    "family_alphadelta(24)": (
+        lambda: family_alphadelta(24),
+        "170e15f740d79a94dbddda8ef8771eb51e9d32dd6451cc66db62099c3dc0acb8"),
+    "family_alphadelta(40)": (
+        lambda: family_alphadelta(40),
+        "f8d227e54621bd6d597cf053d95092d47a6b5759cae035ea50abafdb1e9bc8ba"),
+    "flip_segment(pq_earth_map(40), 1, 2)": (
+        lambda: flip_segment(pq_earth_map(40), 1, 2),
+        "4429ce365fc8a35f5c6a859e9c6443b78a05f6672ffcb8476d42a2b45e992009"),
+}
+
+
+class TestGoldenDecompose:
+    @pytest.mark.parametrize("name", list(DECOMPOSE_GOLDEN))
+    def test_zones(self, name):
+        # [DERIVED] member tiles, boundary walk and flipped flag of every
+        # zone, on unflipped and flipped maps
+        make, want = DECOMPOSE_GOLDEN[name]
+        zones = [(z.tiles, z.boundary, z.flipped)
+                 for z in decompose_time_zones(make())]
+        assert hashlib.sha256(repr(zones).encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("make,arg", [(family_beta2delta, 24),
+                                          (quad_subdivide, "cube")])
+    def test_not_decomposable(self, make, arg):
+        # [DERIVED] a half-zone flip breaks the zone pattern; the cube
+        # subdivision never had one
+        with pytest.raises(DomainError):
+            decompose_time_zones(make(arg))
 
 
 class TestFamilies:
