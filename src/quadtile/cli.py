@@ -91,9 +91,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
             "alphadelta": family_alphadelta, "beta2delta": family_beta2delta}
     try:
         if args.family == "subdivision":
+            if args.f is not None:
+                raise DomainError("subdivision does not take --f")
             if not args.base:
                 raise DomainError("subdivision requires --base")
             m = quad_subdivide(args.base)
+        elif args.base is not None:
+            raise DomainError(f"{args.family} does not take --base")
         elif args.f is None:
             raise DomainError(f"{args.family} requires --f")
         else:
@@ -254,8 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a tiling map")
     p.add_argument("family", choices=[
         "earth-map", "pq-emt", "subdivision", "alphadelta", "beta2delta"])
-    p.add_argument("--f", type=int, help="number of tiles")
-    p.add_argument("--base", choices=["cube", "octahedron", "triangular_prism"])
+    p.add_argument("--f", type=int, help="number of tiles (not subdivision)")
+    p.add_argument("--base", choices=["cube", "octahedron", "triangular_prism"],
+                   help="base polyhedron (subdivision only)")
     p.add_argument("-o", "--output", help="write TilingMap JSON here")
     p.set_defaults(func=cmd_construct)
 

@@ -77,6 +77,10 @@ def earth_map(f: int) -> TilingMap:
     return _check_avc(m, expected, f"earth_map({f})")
 
 
+#: Orientation pattern of an unflipped eight-tile time zone (two halves).
+_PQ_ZONE_ORIENT = (0, 1, 1, 0, 0, 1, 1, 0)
+
+
 def pq_earth_map(f: int) -> TilingMap:
     """(f/4,4)-earth map tiling: f/8 eight-tile time zones glued cyclically.
 
@@ -111,8 +115,7 @@ def pq_earth_map(f: int) -> TilingMap:
             ((b + 2, "DA"), (pz + 7, "AB")),
             ((b + 6, "DA"), (pz + 7, "DA")),
         ]
-    orient = [0, 1, 1, 0, 0, 1, 1, 0] * k
-    m = build(f, glues, orient=orient)
+    m = build(f, glues, orient=_PQ_ZONE_ORIENT * k)
     expected = {
         VertexSignature.parse("ab2"): f // 2,
         VertexSignature.parse("a2d2"): f // 4,
@@ -301,10 +304,6 @@ def _prism_subdivision() -> TilingMap:
 # ---------------------------------------------------------------------------
 # Time zone decomposition and flip modification
 # ---------------------------------------------------------------------------
-
-#: Orientation pattern of an unflipped eight-tile time zone.
-_PQ_ZONE_ORIENT = (0, 1, 1, 0, 0, 1, 1, 0)
-
 
 @dataclass(frozen=True)
 class TimeZoneDisk:
@@ -506,11 +505,12 @@ def flip_segment(
         # whole-zone orientation pattern, so derive them directly
         if m.f % 8:
             raise DomainError("half_zones requires eight-tile zones")
+        half = _PQ_ZONE_ORIENT[:4]
+        if any(m.orient[j:j + 4] not in (half, tuple(1 - o for o in half))
+               for j in range(0, m.f, 4)):
+            raise DomainError("map is not half-zone decomposable")
         k = m.f // 4
         units = [tuple(range(4 * j, 4 * j + 4)) for j in range(k)]
-        for u in units:
-            if tuple(m.orient[t] for t in u) not in ((0, 1, 1, 0), (1, 0, 0, 1)):
-                raise DomainError("map is not half-zone decomposable")
     else:
         zones = decompose_time_zones(m)
         k = len(zones)

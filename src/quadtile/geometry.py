@@ -11,7 +11,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -255,7 +255,7 @@ def closed_form_family(f: int) -> SphericalQuad:
     """The earth-map family quad at even f = 0 (mod 8): angles
     (pi - 8pi/f, pi/2 + 4pi/f, pi/2, 8pi/f) with closed-form cosines in
     cal_A = 4pi/f."""
-    if f == 10:
+    if f == _LOCI["family b=c"]:
         raise DegeneracyError(
             "f = 10 is the b = c degeneracy of the family equations")
     if f < 16 or f % 8:
@@ -280,9 +280,8 @@ def closed_form_cube_subdivision(delta: float) -> SphericalQuad:
     if not lo < delta < hi:
         raise GeometryError(
             f"delta = {delta!r} outside (pi/4, 3pi/4)")
-    for excl, pair in ((0.5, "b = c"),
-                       (_CUBE_EXCLUSION_AB, "a = b"),
-                       (_CUBE_EXCLUSION_AC, "a = c")):
+    for excl, pair in ((0.5, "b = c"), (_LOCI["cube a=b"], "a = b"),
+                       (_LOCI["cube a=c"], "a = c")):
         if abs(delta / math.pi - excl) < TOL_DEGENERATE:
             raise DegeneracyError(
                 f"delta = {excl}*pi is the {pair} degeneracy")
@@ -316,53 +315,29 @@ def _family_cosines(f: float) -> tuple[float, float, float]:
 
 
 def degeneracy_loci() -> dict[str, float]:
-    """Roots of the edge-coincidence equations.
+    """Where two edges of a closed-form family coincide.
 
     ``family a=b`` / ``family a=c`` / ``family b=c`` are the f-values where
     the earth-map family's edges collide (spurious parameters); ``cube a=b``
     and ``cube a=c`` are the delta/pi exclusions of the cube-subdivision
     family.
     """
-    def fam(i, j):
-        return lambda f: _family_cosines(f)[i] - _family_cosines(f)[j]
-
-    return {
-        "family a=b": _bisect(fam(0, 1), 6.2, 7.5, xtol=1e-14),
-        "family a=c": _bisect(fam(0, 2), 13.0, 14.5, xtol=1e-14),
-        "family b=c": _bisect(fam(1, 2), 9.0, 11.0, xtol=1e-14),
-        "cube a=b": _CUBE_EXCLUSION_AB,
-        "cube a=c": _CUBE_EXCLUSION_AC,
-    }
+    return dict(_LOCI)
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float,
-            xtol: float) -> float:
-    """A root of fn in [lo, hi], where fn changes sign, to within xtol."""
-    neg_lo = fn(lo) < 0
-    if neg_lo == (fn(hi) < 0):
-        raise ValueError(f"no sign change of fn on [{lo}, {hi}]")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats
-            break
-        if (fn(mid) < 0) == neg_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _cube_root(i: int, j: int, lo: float, hi: float) -> float:
-    """delta/pi in [lo, hi] where cube-subdivision edges i and j coincide."""
-    def gap(d: float) -> float:
-        cosines = _cube_cosines(d * math.pi)
-        return cosines[i] - cosines[j]
-    return _bisect(gap, lo, hi, xtol=1e-15)
-
-
-#: delta/pi values where the cube-subdivision family has a = b or a = c
-_CUBE_EXCLUSION_AB = _cube_root(0, 1, 0.35, 0.49)
-_CUBE_EXCLUSION_AC = _cube_root(0, 2, 0.51, 0.65)
+# With x = cos(4pi/f), the family has cos a = cos c at x = (sqrt5 - 1)/2, and
+# at x^2 = (3 - sqrt5)/8 it has cos b = cos c = 1 for x > 0 (x = cos(2pi/5),
+# f = 10) and cos a = cos b = -1 for x < 0 (x = cos(3pi/5), f = 20/3).  The
+# cube family has a = b or a = c where sin^2 delta = (4 + sqrt3)/6, with
+# cos delta > 0 or < 0 respectively.
+_CUBE_AB = math.asin(math.sqrt((4.0 + math.sqrt(3.0)) / 6.0)) / math.pi
+_LOCI = {
+    "family a=b": 20.0 / 3.0,
+    "family a=c": 4.0 * math.pi / math.acos((_SQRT5 - 1.0) / 2.0),
+    "family b=c": 10.0,
+    "cube a=b": _CUBE_AB,
+    "cube a=c": 1.0 - _CUBE_AB,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -148,80 +148,57 @@ def _propagate(
 # Vertex bisecting cycles (candidate mirror traces)
 # ---------------------------------------------------------------------------
 
-def _vertex_fans(m: TilingMap) -> list[list[tuple[int, str, str]]]:
-    """Per vertex: the cyclic fan [(edge_key, edge_label, wedge_angle)],
-    where the wedge is the tile corner between this edge and the previous
-    one in the cycle."""
-    return [[((min(s, m.glue[s]), max(s, m.glue[s])), EDGE_LABELS[s % 4],
-              ANGLE_NAMES[c]) for s, c in zip(v.darts, v.corners)]
-            for v in m.vertices]
-
-
-def _bisecting_pairs(fan: list[tuple[int, str, str]]) -> list[tuple[int, int]]:
-    """Index pairs (i, j) of fan edges whose axis splits the fan into two
-    mirror-equal halves, comparing wedge-angle and edge labels."""
-    d = len(fan)
-
-    def arc(i: int, j: int) -> list[str]:
-        # labels strictly between edge i and edge j, walking forward
-        out = []
-        k = i
-        while True:
-            k = (k + 1) % d
-            out.append(fan[k][2])  # wedge between edge k-1 and edge k
-            if k == j:
-                break
-            out.append(fan[k][1])
-        return out
-
-    pairs = []
-    for i in range(d):
-        for j in range(i, d):
-            if arc(i, j) == arc(j, i)[::-1]:
-                pairs.append((i, j))
-    return pairs
-
-
 def vertex_bisecting_cycles(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
     """All closed edge cycles whose edges bisect every vertex they pass
     through (the two incident cycle edges split the vertex fan into two
     label-wise mirror-equal halves).  These are the only candidate traces of
-    mirror planes."""
-    fans = _vertex_fans(m)
-    # continuation map: at vertex v, arriving along edge e, which edges e'
-    # may continue a bisecting cycle
-    cont: dict[tuple[int, tuple[int, int]], set[tuple[int, int]]] = {}
-    for v, fan in enumerate(fans):
-        for i, j in _bisecting_pairs(fan):
-            ei, ej = fan[i][0], fan[j][0]
-            cont.setdefault((v, ei), set()).add(ej)
-            cont.setdefault((v, ej), set()).add(ei)
+    mirror planes.
 
-    def endpoints(edge: tuple[int, int]) -> tuple[int, int]:
-        return (m.vertex_of[edge[0]], m.vertex_of[edge[1]])
+    Between edges i < j of a degree-d fan lie 2(j - i) - 1 wedge angles
+    and edge labels one way round and 2(d - j + i) - 1 the other, so only
+    opposite edges, j = i + d/2 at even d, can split it into mirror-equal
+    halves; an edge paired with itself would turn the walk back, which
+    never closes a cycle.  (No edge meets one vertex twice: a map on the
+    sphere whose faces are all quadrilaterals is bipartite, so it has no
+    loop.)  Each edge at a vertex thus has at most one continuation, and
+    each cycle is the walk forced from any of its edges.
+    """
+    # continuation map: at vertex v, arriving along edge e, the edge that
+    # continues a bisecting cycle
+    cont: dict[tuple[int, tuple[int, int]], tuple[int, int]] = {}
+    for v, cycle in enumerate(m.vertices):
+        d = cycle.degree
+        if d % 2:
+            continue
+        edges = [(min(s, m.glue[s]), max(s, m.glue[s])) for s in cycle.darts]
+        # edge label of dart k at 2k, the wedge after it at 2k + 1
+        ring = [x for s, c in zip(cycle.darts,
+                                  cycle.corners[1:] + cycle.corners[:1])
+                for x in (EDGE_LABELS[s % 4], ANGLE_NAMES[c])]
+        for i in range(d // 2):
+            if all(ring[2 * i + u] == ring[2 * i - u] for u in range(1, d)):
+                ei, ej = edges[i], edges[i + d // 2]
+                cont[v, ei], cont[v, ej] = ej, ei
+
+    def far(edge: tuple[int, int], at: int) -> int:
+        v1, v2 = m.vertex_of[edge[0]], m.vertex_of[edge[1]]
+        return v2 if v1 == at else v1
 
     cycles: set[tuple[tuple[int, int], ...]] = set()
-
-    def walk(start_edge: tuple[int, int], start_v: int) -> None:
-        # follow forced/branching continuations; cycles here are simple
-        def rec(path: list[tuple[int, int]], at: int) -> None:
-            edge = path[-1]
-            for nxt in sorted(cont.get((at, edge), ())):
-                if nxt == path[0] and at == start_v and len(path) > 1:
-                    cycles.add(_canonical_cycle(path))
-                    continue
-                if nxt in path:
-                    continue
-                v1, v2 = endpoints(nxt)
-                far = v2 if v1 == at else v1
-                rec(path + [nxt], far)
-
-        v1, v2 = endpoints(start_edge)
-        far = v2 if v1 == start_v else v1
-        rec([start_edge], far)
-
-    for (v, edge) in sorted(cont):
-        walk(edge, v)
+    for start_v, start_edge in cont:
+        path, on_path = [start_edge], {start_edge}
+        at = far(start_edge, start_v)
+        # stop at a dead end or an edge already walked; close only back at
+        # the start vertex and edge, with at least two edges
+        while (nxt := cont.get((at, path[-1]))) is not None:
+            if nxt == start_edge and at == start_v and len(path) > 1:
+                cycles.add(_canonical_cycle(path))
+                break
+            if nxt in on_path:
+                break
+            path.append(nxt)
+            on_path.add(nxt)
+            at = far(nxt, at)
     return sorted(cycles)
 
 

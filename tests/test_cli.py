@@ -65,6 +65,24 @@ class TestConstruct:
         code, _, _ = run(capsys, "construct", "moebius")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,option", [
+        (["subdivision", "--base", "cube", "--f", "10"], "--f"),
+        (["pq-emt", "--f", "16", "--base", "cube"], "--base"),
+        (["earth-map", "--f", "8", "--base", "octahedron"], "--base"),
+        (["alphadelta", "--f", "24", "--base", "cube"], "--base"),
+        (["beta2delta", "--f", "24", "--base", "triangular_prism"],
+         "--base"),
+    ], ids=["subdivision", "pq-emt", "earth-map", "alphadelta",
+            "beta2delta"])
+    def test_unused_option(self, capsys, tmp_path, argv, option):
+        # [TRIVIAL] an option the family does not take is a usage error,
+        # not silently ignored
+        out_file = tmp_path / "m.json"
+        code, out, err = run(capsys, "construct", *argv, "-o", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and option in err
+        assert not out_file.exists()
+
     def test_deterministic(self, capsys, tmp_path):
         # [TRIVIAL] identical invocations yield byte-identical files
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"

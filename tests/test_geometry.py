@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from test_canonical import relabel
 
+from quadtile import geometry
 from quadtile.constructors import (
     earth_map,
     family_alphadelta,
@@ -177,6 +178,34 @@ class TestDegeneracyLoci:
                                                  rel=1e-10)
         assert loci["cube a=c"] == pytest.approx(0.5677778002322962,
                                                  rel=1e-10)
+
+
+class TestExactLoci:
+    def test_exact_values(self):
+        # [DERIVED] cos(4pi/f)^2 = (3 - sqrt 5)/8 at f = 10 and f = 20/3,
+        # and the two cube loci are delta and pi - delta
+        loci = degeneracy_loci()
+        assert list(loci) == ["family a=b", "family a=c", "family b=c",
+                              "cube a=b", "cube a=c"]
+        assert loci["family b=c"] == 10.0
+        assert loci["family a=b"] == 20 / 3
+        assert loci["cube a=c"] == 1 - loci["cube a=b"]
+
+    def test_edges_coincide(self):
+        # [DERIVED] at each locus the two named cosines agree
+        loci = degeneracy_loci()
+        for key, value in loci.items():
+            family, pair = key.split()
+            i, j = ("abc".index(pair[0]), "abc".index(pair[2]))
+            cosines = (geometry._family_cosines(value) if family == "family"
+                       else geometry._cube_cosines(value * math.pi))
+            assert abs(cosines[i] - cosines[j]) < 1e-12, key
+
+    def test_returns_a_copy(self):
+        # [TRIVIAL] editing the result leaves the next call unchanged
+        fresh, loci = degeneracy_loci(), degeneracy_loci()
+        loci["family b=c"] = 0.0
+        assert degeneracy_loci() == fresh
 
 
 class TestLune:

@@ -1,14 +1,22 @@
 """Combinatorial automorphisms, point-group classification, mirror traces."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from test_canonical import GOLDEN, relabel
+
+import quadtile
 from quadtile.constructors import (
+    DomainError,
+    FlipInvalidError,
     earth_map,
     family_alphadelta,
     family_beta2delta,
+    flip_segment,
     pq_earth_map,
     quad_subdivide,
 )
@@ -19,6 +27,7 @@ from quadtile.symmetry import (
     classify,
     vertex_bisecting_cycles,
 )
+from quadtile.tilingmap import TilingMap
 
 
 class TestGroupStructure:
@@ -122,11 +131,98 @@ class TestBisectingCycles:
         assert vertex_bisecting_cycles(quad_subdivide("triangular_prism")) == []
 
     def test_cycle_count_matches_mirrors(self):
-        # [DERIVED] each mirror of the pq maps traces one bisecting cycle
-        for f in (16, 24):
-            sc = classify(pq_earth_map(f))
-            cycles = vertex_bisecting_cycles(pq_earth_map(f))
-            assert len(cycles) == sc.mirror_count
+        # [DERIVED] each mirror traces one bisecting cycle, in one map of
+        # each family
+        for m in (pq_earth_map(16), pq_earth_map(24), earth_map(12),
+                  quad_subdivide("cube"), quad_subdivide("triangular_prism"),
+                  family_alphadelta(24), family_beta2delta(24)):
+            sc = classify(m)
+            assert len(vertex_bisecting_cycles(m)) == sc.mirror_count
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _mirror(m):
+    """The mirror image: the same glue with every orientation bit toggled."""
+    data = json.loads(m.to_json())
+    data["orient"] = [1 - bit for bit in data["orient"]]
+    return TilingMap.from_json(json.dumps(data))
+
+
+# (constructor, argument) of the canonical-form goldens -> digest of the
+# traces of the map, of relabel(map, 3) and of its mirror image.  No map
+# that build accepts has an edge twice in one vertex fan (a loop), so
+# none is here.
+TRACE_GOLDEN = {
+    ("pq_earth_map", 64):
+        "fc10bce4859ee9595c4f79aad91fcddf460686cc1678477d819e8cafbf5f0911",
+    ("pq_earth_map", 256):
+        "9e3cb1fc36677f8ad03001bf40cd66fd10e491811cc03d87423ddf65ea8b0f70",
+    ("earth_map", 128):
+        "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+    ("earth_map", 256):
+        "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+    ("quad_subdivide", "cube"):
+        "d860314a2f22c22eb7fb0e67077e604f68655f3e9ba3f1f94e6cadd9d3f64229",
+    ("quad_subdivide", "octahedron"):
+        "426c8f77dc605dc84931e411af6da550ccf5b7b1fb5121d621e17971782168ef",
+    ("quad_subdivide", "triangular_prism"):
+        "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+    ("family_alphadelta", 56):
+        "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+    ("family_alphadelta", 120):
+        "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+    ("family_beta2delta", 56):
+        "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+    ("family_beta2delta", 120):
+        "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+    ("pq_earth_map", 16):
+        "0bd5674b3faa42d34a6a26803b7ff056044eb460ae949e4170e58fc62ef6440a",
+    ("earth_map", 8):
+        "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+    ("family_alphadelta", 24):
+        "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+    ("family_beta2delta", 24):
+        "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+}
+
+# f -> digest of the traces of every flip_segment output of pq_earth_map(f),
+# over whole and half zones, every start and count
+FLIP_TRACE_GOLDEN = {
+    24: "2dee1178676352756bdb2ab7c22d7e74021eef4bed3a5f5f70a7bdf4aa2e119f",
+    40: "94fc6e0cfd45c65d6f6e81431a01f8885d1498a743bf72751b67be4eee8119e7",
+}
+
+
+class TestGoldenTraces:
+    @pytest.mark.parametrize("name,arg", list(GOLDEN))
+    def test_traces(self, name, arg):
+        # [DERIVED] the cycles, in their sorted canonical order, pinned
+        # before the walk lost its backtracking
+        m = getattr(quadtile, name)(arg)
+        got = [vertex_bisecting_cycles(x)
+               for x in (m, relabel(m, 3), _mirror(m))]
+        assert _digest(got) == TRACE_GOLDEN[name, arg]
+
+    @pytest.mark.parametrize("f", [24, 40])
+    def test_flip_segment_traces(self, f):
+        # [DERIVED] the flip modifications, chiral maps included
+        m = pq_earth_map(f)
+        lines = []
+        for half in (False, True):
+            k = f // 4 if half else f // 8
+            for start in range(k):
+                for count in range(1, k + 1):
+                    try:
+                        flipped = flip_segment(m, start, count,
+                                               half_zones=half)
+                    except (FlipInvalidError, DomainError):
+                        continue
+                    lines.append((half, start, count,
+                                  vertex_bisecting_cycles(flipped)))
+        assert _digest(lines) == FLIP_TRACE_GOLDEN[f]
 
 
 class TestGeometricCrossCheck:
