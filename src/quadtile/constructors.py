@@ -353,6 +353,12 @@ def _boundary_darts(m: TilingMap, tiles: set[int]) -> list[int]:
 _AXIS_CANDIDATES = (0, -2, 1, -1)
 
 
+def _avc_class(m: TilingMap) -> list[tuple[int, int, int, int]]:
+    """The AVC up to canonical_form's beta<->delta flip."""
+    avc = sorted(v.signature.exponents for v in m.vertices)
+    return min(avc, sorted((a, d, c, b) for a, b, c, d in avc))
+
+
 def _flip_tiles(m: TilingMap, tiles: Iterable[int]) -> TilingMap:
     """Replace the tile segment by its mirror image, re-glued across a
     reflection through the boundary's delta-pole pair.
@@ -416,7 +422,7 @@ def _flip_tiles(m: TilingMap, tiles: Iterable[int]) -> TilingMap:
             pairs.append((divmod(a, 4), divmod(b, 4)))
         return build(m.f, pairs, orient=orient)
 
-    form = m.canonical_form()
+    avc = _avc_class(m)
     for offset in _AXIS_CANDIDATES:
         try:
             flipped = reglue(offset)
@@ -427,7 +433,8 @@ def _flip_tiles(m: TilingMap, tiles: Iterable[int]) -> TilingMap:
             continue
         if not angles_feasible(sigs, m.f):
             continue
-        if flipped.canonical_form() == form:
+        if (_avc_class(flipped) == avc
+                and flipped.canonical_form() == m.canonical_form()):
             continue
         return flipped
     raise FlipInvalidError(

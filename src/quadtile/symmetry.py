@@ -9,7 +9,6 @@ therefore a faithful model of the tiling's isometry group on the sphere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .angles import ANGLE_NAMES
@@ -40,18 +39,11 @@ class MapAutomorphism:
             p == i for i, p in enumerate(self.perm))
 
     def order(self) -> int:
-        """The lcm of the permutation's cycle lengths, made even when the
-        element reverses orientation."""
-        k = 2 if self.reversing else 1
-        seen = [False] * len(self.perm)
-        for start in range(len(self.perm)):
-            length, t = 0, start
-            while not seen[t]:
-                seen[t] = True
-                t = self.perm[t]
-                length += 1
-            if length:
-                k = math.lcm(k, length)
+        """The length of tile 0's orbit, which all tile cycles share on a
+        connected map (see ``classify``)."""
+        k, t = 1, self.perm[0]
+        while t:
+            k, t = k + 1, self.perm[t]
         return k
 
     def compose(self, other: "MapAutomorphism") -> "MapAutomorphism":
@@ -65,19 +57,6 @@ class MapAutomorphism:
         for i, p in enumerate(self.perm):
             inv[p] = i
         return MapAutomorphism(tuple(inv), self.reversing)
-
-    def fixed_cells(self, m: TilingMap) -> set[tuple]:
-        """Tiles, edges and vertices mapped to themselves."""
-        perm = self.perm
-        image = [4 * p + pos for p in perm for pos in range(4)]  # of darts
-        cells: set[tuple] = {("tile", t) for t in range(m.f) if perm[t] == t}
-        for s1, s2 in enumerate(m.glue):
-            if s1 < s2 and (image[s1], image[s2]) in ((s1, s2), (s2, s1)):
-                cells.add(("edge", (s1, s2)))
-        for v, cycle in enumerate(m.vertices):
-            if all(m.vertex_of[image[s]] == v for s in cycle.darts):
-                cells.add(("vertex", v))
-        return cells
 
 
 def automorphisms(m: TilingMap) -> list[MapAutomorphism]:
@@ -161,7 +140,8 @@ def vertex_bisecting_cycles(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
     never closes a cycle.  (No edge meets one vertex twice: a map on the
     sphere whose faces are all quadrilaterals is bipartite, so it has no
     loop.)  Each edge at a vertex thus has at most one continuation, and
-    each cycle is the walk forced from any of its edges.
+    each cycle is the walk forced from any of its edges, so it is walked
+    once, from the first key on it.
     """
     # continuation map: at vertex v, arriving along edge e, the edge that
     # continues a bisecting cycle
@@ -184,15 +164,19 @@ def vertex_bisecting_cycles(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
         v1, v2 = m.vertex_of[edge[0]], m.vertex_of[edge[1]]
         return v2 if v1 == at else v1
 
-    cycles: set[tuple[tuple[int, int], ...]] = set()
+    cycles: list[tuple[tuple[int, int], ...]] = []
+    traced: set[tuple[int, int]] = set()
     for start_v, start_edge in cont:
+        if start_edge in traced:
+            continue
         path, on_path = [start_edge], {start_edge}
         at = far(start_edge, start_v)
         # stop at a dead end or an edge already walked; close only back at
         # the start vertex and edge, with at least two edges
         while (nxt := cont.get((at, path[-1]))) is not None:
             if nxt == start_edge and at == start_v and len(path) > 1:
-                cycles.add(_canonical_cycle(path))
+                cycles.append(_canonical_cycle(path))
+                traced |= on_path
                 break
             if nxt in on_path:
                 break
@@ -248,7 +232,15 @@ def _count_threefold_axes(order3: list[MapAutomorphism]) -> int:
 def classify(m: TilingMap) -> SymmetryClass:
     """Point group via the decision tree: polyhedral branch first, then the
     dihedral/cyclic branch refined by mirrors, horizontal mirror, and
-    inversion."""
+    inversion.
+
+    The map must be connected, as every map ``build`` accepts is.  Then a
+    non-identity automorphism fixes no tile: a preserving one that fixes a
+    tile is forced to the identity, and a reversing one flips every
+    orientation bit.  A reversing involution is a mirror iff it fixes an
+    edge (sends a slot to its glued partner), else the inversion: fixing a
+    vertex, it would reverse the ring of edges and tiles around it and so
+    fix two of them, both edges."""
     group = automorphisms(m)
     order = len(group)
     preserving = [g for g in group if not g.reversing]
@@ -260,10 +252,11 @@ def classify(m: TilingMap) -> SymmetryClass:
     for g in reversing:
         if g.order() != 2:
             continue
-        cells = g.fixed_cells(m)
-        if any(kind == "edge" for kind, _ in cells):
+        perm = g.perm
+        if any(4 * perm[s >> 2] + (s & 3) == t for s, t in enumerate(m.glue)):
             mirrors.append(g)
-        has_inv = has_inv or not cells
+        else:
+            has_inv = True
 
     # polyhedral rotation groups
     order3 = [g for g, k in zip(preserving, orders) if k == 3]

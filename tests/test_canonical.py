@@ -5,19 +5,22 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 import quadtile
+from quadtile.angles import VertexSignature
 from quadtile.constructors import (
     DomainError,
     FlipInvalidError,
+    _avc_class,
     flip_segment,
     pq_earth_map,
     quad_subdivide,
 )
 from quadtile.symmetry import automorphisms, classify
-from quadtile.tilingmap import TilingMap
+from quadtile.tilingmap import SLOT_NAMES, TilingMap, extract_avc
 
 
 def _digest(value) -> str:
@@ -174,6 +177,32 @@ class TestGoldenDifferential:
         # form, so the serialised map pins the comparison
         text = quad_subdivide(base).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == JSON_GOLDEN[base]
+
+
+def _canonical_flip(m: TilingMap) -> TilingMap:
+    """m relabelled as canonical_form's flip does: slot p renamed 3 - p
+    (AB<->DA, BC<->CD) and every orientation bit toggled."""
+    rename = dict(zip(SLOT_NAMES, reversed(SLOT_NAMES)))
+    data = json.loads(m.to_json())
+    glue = [[t1, rename[s1], t2, rename[s2]]
+            for t1, s1, t2, s2 in data["glue"]]
+    return TilingMap.from_json(json.dumps(
+        {"f": m.f, "glue": glue, "orient": [1 - o for o in m.orient]}))
+
+
+class TestCanonicalFlip:
+    @pytest.mark.parametrize("name,arg", list(GOLDEN))
+    def test_same_form_and_avc_class(self, name, arg):
+        # [DERIVED] the flip renames beta<->delta, so a map isomorphic to m
+        # has m's AVC or its beta<->delta exchange; flip_segment needs no
+        # canonical form for a flip whose AVC is neither
+        m = _build(name, arg)
+        flipped = _canonical_flip(m)
+        assert flipped.canonical_form() == m.canonical_form()
+        assert _avc_class(flipped) == _avc_class(m)
+        assert extract_avc(flipped) == Counter(
+            {VertexSignature(s.a, s.d, s.c, s.b): n
+             for s, n in extract_avc(m).items()})
 
 
 def _every_seed_form(m: TilingMap) -> tuple:

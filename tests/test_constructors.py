@@ -20,6 +20,10 @@ from quadtile.constructors import (
 from quadtile.tilingmap import extract_avc, verify
 
 
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 def sig(text: str) -> VertexSignature:
     return VertexSignature.parse(text)
 
@@ -184,6 +188,44 @@ class TestGoldenDecompose:
         # subdivision never had one
         with pytest.raises(DomainError):
             decompose_time_zones(make(arg))
+
+
+#: sha256 of repr([(map, [(half_zones, start, count, outcome), ...])]) for
+#: the maps below, every start and count up to the zone count, whole and
+#: half zones; outcome is the sha256 of repr(canonical_form()) of the
+#: flipped map, or the error's type name and text.  Recorded before the
+#: flip compared AVCs ahead of canonical forms.
+FLIP_SWEEP = {
+    "pq24": lambda: pq_earth_map(24),
+    "pq40": lambda: pq_earth_map(40),
+    "pq56": lambda: pq_earth_map(56),
+    "em12": lambda: earth_map(12),
+    "ad40": lambda: family_alphadelta(40),
+}
+FLIP_SWEEP_GOLDEN = (
+    585, "ab451f1b3023c0eee512db6a2a6f4cc92340565401210729f164e75830abc4f1")
+
+
+class TestGoldenFlipSweep:
+    def test_outcomes(self):
+        # [DERIVED] every flip and every refusal, with its message
+        runs, n = [], 0
+        for name, make in FLIP_SWEEP.items():
+            m, out = make(), []
+            for half in (False, True):
+                k = m.f // 4 if half else m.f // (8 if m.f % 8 == 0 else 2)
+                for start in range(k):
+                    for count in range(1, k + 1):
+                        try:
+                            flipped = flip_segment(m, start, count,
+                                                   half_zones=half)
+                            res = _digest(flipped.canonical_form())
+                        except (FlipInvalidError, DomainError) as e:
+                            res = (type(e).__name__, str(e))
+                        out.append((half, start, count, res))
+            runs.append((name, out))
+            n += len(out)
+        assert (n, _digest(runs)) == FLIP_SWEEP_GOLDEN
 
 
 class TestFamilies:

@@ -54,8 +54,10 @@ class TestGroupStructure:
 
     @pytest.mark.parametrize("m", [
         quad_subdivide("cube"), pq_earth_map(16), earth_map(8),
-        family_alphadelta(24), family_beta2delta(24)],
-        ids=["cube", "pq16", "em8", "alphadelta24", "beta2delta24"])
+        family_alphadelta(24), family_beta2delta(24), pq_earth_map(64),
+        earth_map(64)],
+        ids=["cube", "pq16", "em8", "alphadelta24", "beta2delta24", "pq64",
+             "em64"])
     def test_order_by_definition(self, m):
         # [DERIVED] order() is the least k >= 1 with g^k the identity
         for g in automorphisms(m):
@@ -223,6 +225,155 @@ class TestGoldenTraces:
                     lines.append((half, start, count,
                                   vertex_bisecting_cycles(flipped)))
         assert _digest(lines) == FLIP_TRACE_GOLDEN[f]
+
+
+def _flip_outputs(f):
+    """(half_zones, start, count, map) for every admissible flip_segment
+    output of pq_earth_map(f), over whole and half zones."""
+    m = pq_earth_map(f)
+    for half in (False, True):
+        k = f // 4 if half else f // 8
+        for start in range(k):
+            for count in range(1, k + 1):
+                try:
+                    flipped = flip_segment(m, start, count, half_zones=half)
+                except (FlipInvalidError, DomainError):
+                    continue
+                yield half, start, count, flipped
+
+
+# (constructor, argument) of the canonical-form goldens -> digest of
+# repr(classify(...)) of the map, of relabel(map, 3) and of its mirror
+# image, recorded before classify read orders and mirrors off the free
+# tile action
+CLASSIFY_GOLDEN = {
+    ("pq_earth_map", 64):
+        "6fae4fe70a80db8e84fe1f81c12482fefe3b4ed95c0f199dd2144bd5df226c95",
+    ("pq_earth_map", 256):
+        "63048e518351f5e0e25dab8ef6c34e94d613e879044bbde5ced8863359dba803",
+    ("earth_map", 128):
+        "f93064c83bf02f431f48b64aa53ad86243ed198a279291d310badc3210bdf144",
+    ("earth_map", 256):
+        "a5b9a953cf3c17164889beaed2e8c9376ea95e44ab74079c274ba401e613fbbf",
+    ("quad_subdivide", "cube"):
+        "3dcd7e20f60723e2eff520c488224e30d00703c450e96fff57f45e4d27e4565c",
+    ("quad_subdivide", "octahedron"):
+        "3dcd7e20f60723e2eff520c488224e30d00703c450e96fff57f45e4d27e4565c",
+    ("quad_subdivide", "triangular_prism"):
+        "ef0a871e67aa1a817645ab7f9d73d33081c052487dd36e110ca96815fe234f97",
+    ("family_alphadelta", 56):
+        "b75f11fd78fbb8ee211406126550f48d646457ef4d4994ef612d94ea2303c9ea",
+    ("family_alphadelta", 120):
+        "b75f11fd78fbb8ee211406126550f48d646457ef4d4994ef612d94ea2303c9ea",
+    ("family_beta2delta", 56):
+        "595b40cb75c71a568c976a0883de910990df5388a908fb3aa523c4bce412b5e4",
+    ("family_beta2delta", 120):
+        "595b40cb75c71a568c976a0883de910990df5388a908fb3aa523c4bce412b5e4",
+    ("pq_earth_map", 16):
+        "955eb45380417f7df98f647c36950a84a88718b8d51318cc1fd5c2b5052c0d0b",
+    ("earth_map", 8):
+        "53df3c2663bd7dd7fa689b301fa92b39e3cbb220a700e29fec83db28f9db0081",
+    ("family_alphadelta", 24):
+        "b75f11fd78fbb8ee211406126550f48d646457ef4d4994ef612d94ea2303c9ea",
+    ("family_beta2delta", 24):
+        "595b40cb75c71a568c976a0883de910990df5388a908fb3aa523c4bce412b5e4",
+}
+
+# f -> digest of (half_zones, start, count, repr(classify(...))) over every
+# admissible flip_segment output of pq_earth_map(f)
+FLIP_CLASSIFY_GOLDEN = {
+    24: "58023402ce92315df7f5b8973f67780a9eb25b37b1f045030820ad53004380d9",
+    40: "326eb577ad41df3b0a6182a1f9a12dc86e6fbc053761bcdb88247471de0bfece",
+}
+
+
+class TestGoldenClassify:
+    @pytest.mark.parametrize("name,arg", list(GOLDEN))
+    def test_classify(self, name, arg):
+        # [DERIVED] every field of the class, chiral mirror images included
+        m = getattr(quadtile, name)(arg)
+        got = [repr(classify(x)) for x in (m, relabel(m, 3), _mirror(m))]
+        assert _digest(got) == CLASSIFY_GOLDEN[name, arg]
+
+    @pytest.mark.parametrize("f", list(FLIP_CLASSIFY_GOLDEN))
+    def test_flip_segment_classify(self, f):
+        # [DERIVED] the flip modifications, 33 at f = 24 and 55 at f = 40
+        lines = [(half, start, count, repr(classify(flipped)))
+                 for half, start, count, flipped in _flip_outputs(f)]
+        assert _digest(lines) == FLIP_CLASSIFY_GOLDEN[f]
+
+
+@pytest.fixture(scope="module")
+def golden_groups():
+    """(map, automorphisms) for the GOLDEN maps, relabel(m, 3) and the
+    mirror image of each, and the flip_segment outputs of pq24 and pq40."""
+    maps = []
+    for name, arg in GOLDEN:
+        m = getattr(quadtile, name)(arg)
+        maps += [m, relabel(m, 3), _mirror(m)]
+    maps += [flipped for f in (24, 40) for *_, flipped in _flip_outputs(f)]
+    return [(m, automorphisms(m)) for m in maps]
+
+
+def _tile0_orbit(g: MapAutomorphism) -> int:
+    k, t = 1, g.perm[0]
+    while t != 0:
+        k, t = k + 1, g.perm[t]
+    return k
+
+
+def _fixed_cells(g: MapAutomorphism, m: TilingMap) -> set[tuple]:
+    """Tiles, edges and vertices that g maps to themselves, by brute force.
+
+    Corner k of tile t goes to corner k of tile perm[t], and the vertex at
+    corner k of tile t is the start of dart (k - orient[t]) % 4.  Vertices
+    are mapped by corners, not darts: a reversing g sends the start of a
+    dart to the end of the image dart.
+    """
+    perm = g.perm
+    image = [4 * p + pos for p in perm for pos in range(4)]  # of slots
+    cells: set[tuple] = {("tile", t) for t in range(m.f) if perm[t] == t}
+    for s1, s2 in enumerate(m.glue):
+        if s1 < s2 and (image[s1], image[s2]) in ((s1, s2), (s2, s1)):
+            cells.add(("edge", (s1, s2)))
+    for v, cycle in enumerate(m.vertices):
+        if all(m.vertex_of[4 * perm[s // 4] + (k - m.orient[perm[s // 4]]) % 4]
+               == v for s, k in zip(cycle.darts, cycle.corners)):
+            cells.add(("vertex", v))
+    return cells
+
+
+class TestFreeAction:
+    """The facts classify rests on: on a connected map every non-identity
+    automorphism moves every tile, so all its tile cycles have one length."""
+
+    def test_nonidentity_moves_every_tile(self, golden_groups):
+        # [DERIVED] a preserving element fixing a tile is forced to the
+        # identity; a reversing one flips every orientation bit
+        for _, group in golden_groups:
+            for g in group:
+                if not g.is_identity:
+                    assert all(p != t for t, p in enumerate(g.perm))
+
+    def test_reversing_orbit_even(self, golden_groups):
+        # [DERIVED] an odd power of a reversing element reverses, so it
+        # cannot return tile 0 to itself
+        for _, group in golden_groups:
+            for g in group:
+                if g.reversing:
+                    assert _tile0_orbit(g) % 2 == 0
+
+    def test_flags_match_fixed_cells(self, golden_groups):
+        # [DERIVED] a reversing involution is a mirror iff it fixes an
+        # edge, and an inversion iff it fixes no tile, edge or vertex
+        for m, group in golden_groups:
+            involutions = [g for g in group if g.reversing
+                           and g.compose(g).is_identity]
+            cells = [_fixed_cells(g, m) for g in involutions]
+            sc = classify(m)
+            assert sc.mirror_count == sum(
+                any(kind == "edge" for kind, _ in c) for c in cells)
+            assert sc.has_inversion == any(not c for c in cells)
 
 
 class TestGeometricCrossCheck:
