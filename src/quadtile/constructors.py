@@ -375,21 +375,11 @@ def _flip_tiles(m: TilingMap, tiles: Iterable[int]) -> TilingMap:
         raise DomainError("flip segment must be a proper nonempty tile set")
     sb = _boundary_darts(m, tiles)
     n = len(sb)
-    cb = [m.glue[s] for s in sb]
-
-    # gap t = the boundary vertex between edges t-1 and t
-    def endpoints(i: int) -> set[int]:
-        return {m.vertex_of[sb[i]], m.vertex_of[cb[i]]}
-
-    gaps = []
-    for t in range(n):
-        shared = endpoints((t - 1) % n) & endpoints(t)
-        if len(shared) != 1:
-            raise FlipInvalidError("ambiguous boundary vertex sequence")
-        gaps.append(next(iter(shared)))
-
     if n % 2:
         raise FlipInvalidError("boundary length must be even")
+    # gap t = the boundary vertex between edges t-1 and t, where dart t
+    # starts: each boundary dart starts where the one before it ends
+    gaps = [m.vertex_of[s] for s in sb]
 
     # the flip axis passes through the two pole vertices: the antipodal gap
     # pair whose signatures are delta-dominated (no beta, no gamma, max delta)
@@ -408,21 +398,18 @@ def _flip_tiles(m: TilingMap, tiles: Iterable[int]) -> TilingMap:
         raise FlipInvalidError(
             "segment boundary has no antipodal delta-pole vertex pair")
 
-    kept = []
-    for s in range(4 * m.f):
-        g = m.glue[s]
-        if s < g and (s // 4 in tiles) == (g // 4 in tiles):
-            kept.append((divmod(s, 4), divmod(g, 4)))
+    kept = [(divmod(s, 4), divmod(g, 4)) for s, g in m.edges()
+            if (s // 4 in tiles) == (g // 4 in tiles)]
     orient = [o ^ (t in tiles) for t, o in enumerate(m.orient)]
 
     def reglue(offset: int) -> TilingMap:
         pairs = list(kept)
         for t in range(n):
-            a, b = sb[(2 * pole - t + offset) % n], cb[t]
+            a, b = sb[(2 * pole - t + offset) % n], m.glue[sb[t]]
             pairs.append((divmod(a, 4), divmod(b, 4)))
         return build(m.f, pairs, orient=orient)
 
-    avc = _avc_class(m)
+    avc, form = _avc_class(m), None
     for offset in _AXIS_CANDIDATES:
         try:
             flipped = reglue(offset)
@@ -433,9 +420,10 @@ def _flip_tiles(m: TilingMap, tiles: Iterable[int]) -> TilingMap:
             continue
         if not angles_feasible(sigs, m.f):
             continue
-        if (_avc_class(flipped) == avc
-                and flipped.canonical_form() == m.canonical_form()):
-            continue
+        if _avc_class(flipped) == avc:
+            form = form or m.canonical_form()
+            if flipped.canonical_form() == form:
+                continue
         return flipped
     raise FlipInvalidError(
         "no admissible reflection axis at this boundary")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .angles import ANGLE_NAMES
 from .tilingmap import EDGE_LABELS, TilingMap
 
 __all__ = [
@@ -133,72 +132,57 @@ def vertex_bisecting_cycles(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
     label-wise mirror-equal halves).  These are the only candidate traces of
     mirror planes.
 
-    Between edges i < j of a degree-d fan lie 2(j - i) - 1 wedge angles
-    and edge labels one way round and 2(d - j + i) - 1 the other, so only
-    opposite edges, j = i + d/2 at even d, can split it into mirror-equal
-    halves; an edge paired with itself would turn the walk back, which
-    never closes a cycle.  (No edge meets one vertex twice: a map on the
-    sphere whose faces are all quadrilaterals is bipartite, so it has no
-    loop.)  Each edge at a vertex thus has at most one continuation, and
-    each cycle is the walk forced from any of its edges, so it is walked
-    once, from the first key on it.
+    Only opposite edges, d/2 apart at even degree d, leave equally many
+    edges on either side.  Their edge labels alone decide whether the halves
+    mirror: the wedge between neighbouring edges is the tile corner they
+    bound, fixed by their two labels (a/a alpha, a/b beta, b/c gamma, c/a
+    delta).
+
+    A trace arriving along dart s leaves along ``opposite[s]``, so a step
+    is s -> glue[opposite[s]], the composite of two involutions and so
+    injective: the walk from a dart comes back to it, closing a trace, or
+    stops at a dart with no opposite, and needs no stop rule.  It never
+    turns back (that would glue a dart to itself), and no trace has one
+    edge, which would be a loop: a map on the sphere whose faces are all
+    quadrilaterals is bipartite.  Each trace is walked once, from its first
+    dart met; its reverse runs through the glued partners of its darts.
     """
-    # continuation map: at vertex v, arriving along edge e, the edge that
-    # continues a bisecting cycle
-    cont: dict[tuple[int, tuple[int, int]], tuple[int, int]] = {}
-    for v, cycle in enumerate(m.vertices):
-        d = cycle.degree
+    glue = m.glue
+    opposite: dict[int, int] = {}
+    for cycle in m.vertices:
+        darts, d = cycle.darts, cycle.degree
         if d % 2:
             continue
-        edges = [(min(s, m.glue[s]), max(s, m.glue[s])) for s in cycle.darts]
-        # edge label of dart k at 2k, the wedge after it at 2k + 1
-        ring = [x for s, c in zip(cycle.darts,
-                                  cycle.corners[1:] + cycle.corners[:1])
-                for x in (EDGE_LABELS[s % 4], ANGLE_NAMES[c])]
+        ring = [EDGE_LABELS[s % 4] for s in darts]
         for i in range(d // 2):
-            if all(ring[2 * i + u] == ring[2 * i - u] for u in range(1, d)):
-                ei, ej = edges[i], edges[i + d // 2]
-                cont[v, ei], cont[v, ej] = ej, ei
-
-    def far(edge: tuple[int, int], at: int) -> int:
-        v1, v2 = m.vertex_of[edge[0]], m.vertex_of[edge[1]]
-        return v2 if v1 == at else v1
+            if all(ring[i + u] == ring[i - u] for u in range(1, d // 2)):
+                s, t = darts[i], darts[i + d // 2]
+                opposite[s], opposite[t] = t, s
 
     cycles: list[tuple[tuple[int, int], ...]] = []
-    traced: set[tuple[int, int]] = set()
-    for start_v, start_edge in cont:
-        if start_edge in traced:
+    traced: set[int] = set()
+    for start in opposite:
+        if start in traced:
             continue
-        path, on_path = [start_edge], {start_edge}
-        at = far(start_edge, start_v)
-        # stop at a dead end or an edge already walked; close only back at
-        # the start vertex and edge, with at least two edges
-        while (nxt := cont.get((at, path[-1]))) is not None:
-            if nxt == start_edge and at == start_v and len(path) > 1:
-                cycles.append(_canonical_cycle(path))
-                traced |= on_path
-                break
-            if nxt in on_path:
-                break
-            path.append(nxt)
-            on_path.add(nxt)
-            at = far(nxt, at)
+        walk, s = [start], glue[opposite[start]]
+        while s != start and s in opposite:
+            walk.append(s)
+            s = glue[opposite[s]]
+        if s == start:
+            traced.update(walk, (glue[s] for s in walk))
+            cycles.append(_canonical_cycle(
+                [(min(s, glue[s]), max(s, glue[s])) for s in walk]))
     return sorted(cycles)
 
 
 def _canonical_cycle(
     path: list[tuple[int, int]]
 ) -> tuple[tuple[int, int], ...]:
-    best = None
-    n = len(path)
-    for rot in range(n):
-        for seq in (path[rot:] + path[:rot],
-                    (path[rot:] + path[:rot])[::-1]):
-            t = tuple(seq)
-            if best is None or t < best:
-                best = t
-    assert best is not None
-    return best
+    """The least rotation or reversal of a cycle of distinct edges: it
+    starts at the least edge, in the smaller of the two directions."""
+    i = path.index(min(path))
+    seq = tuple(path[i:] + path[:i])
+    return min(seq, seq[:1] + seq[:0:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +203,6 @@ class SymmetryClass:
 
     def __str__(self) -> str:
         return f"{self.name}, order {self.order}"
-
-
-def _count_threefold_axes(order3: list[MapAutomorphism]) -> int:
-    # each 3-fold axis carries two rotations (g, g^2)
-    axes = set()
-    for g in order3:
-        axes.add(min(g.perm, g.inverse().perm))
-    return len(axes)
 
 
 def classify(m: TilingMap) -> SymmetryClass:
@@ -259,8 +235,8 @@ def classify(m: TilingMap) -> SymmetryClass:
             has_inv = True
 
     # polyhedral rotation groups
-    order3 = [g for g, k in zip(preserving, orders) if k == 3]
-    if np_ in (12, 24, 60) and _count_threefold_axes(order3) >= 4:
+    # at least four 3-fold axes, each carrying two rotations (g, g^2)
+    if np_ in (12, 24, 60) and orders.count(3) >= 8:
         base = {12: "T", 24: "O", 60: "I"}[np_]
         if not reversing:
             name = base

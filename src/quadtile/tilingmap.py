@@ -281,9 +281,13 @@ def build(
     if f % 2:
         raise EulerError(
             f"f must be even (f = 2 e_b forces it), got {f}")
-    orient_bits = tuple(int(bool(x)) for x in (orient or [0] * f))
+    orient_bits = (0,) * f if orient is None else tuple(orient)
     if len(orient_bits) != f:
         raise TilingError("orientation bits must cover every tile")
+    for t, x in enumerate(orient_bits):
+        if type(x) is not int or x not in (0, 1):
+            raise TilingError(
+                f"orientation bit of tile {t} must be 0 or 1, got {x!r}")
 
     glue = [-1] * (4 * f)
     for (spec1, spec2) in glue_table:

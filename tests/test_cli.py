@@ -20,6 +20,9 @@ MALFORMED = [
     {"f": 2, "glue": [[0, "AB", 1, "AB"], [0, "BC", 1, "BC"],
                       [0, "CD", 1, "CD"], [0, "DA", 1, "DA"]],
      "orient": 7},
+    # earth_map(6) with orientation bits that are not ints 0/1, one per tile
+    *({**json.loads(quadtile.earth_map(6).to_json()), "orient": bits}
+      for bits in (["0"] * 6, [], [None] * 6)),
     *({"f": 2, "glue": [entry, [0, "BC", 1, "BC"], [0, "CD", 1, "CD"],
                         [0, "DA", 1, "DA"]], "orient": [0, 1]}
       for entry in ([0, 5, 0, 4], [0.0, "AB", 1, "AB"], [0, "XY", 1, "AB"])),
@@ -137,7 +140,8 @@ class TestVerify:
     @pytest.mark.parametrize("command", ["verify", "realize", "symmetry"])
     @pytest.mark.parametrize("data", MALFORMED, ids=[
         "list", "null", "no-glue", "str-f", "int-glue", "int-orient",
-        "slot-5", "float-tile", "name-XY"])
+        "str-bits", "empty-bits", "null-bits", "slot-5", "float-tile",
+        "name-XY"])
     def test_malformed_map(self, capsys, tmp_path, command, data):
         # [TRIVIAL] well-formed JSON that is not a map layout is a usage
         # error, not a traceback

@@ -17,7 +17,7 @@ from quadtile.constructors import (
     pq_earth_map,
     quad_subdivide,
 )
-from quadtile.tilingmap import extract_avc, verify
+from quadtile.tilingmap import TilingMap, extract_avc, verify
 
 
 def _digest(value) -> str:
@@ -226,6 +226,28 @@ class TestGoldenFlipSweep:
             runs.append((name, out))
             n += len(out)
         assert (n, _digest(runs)) == FLIP_SWEEP_GOLDEN
+
+
+class TestFlipCanonicalForms:
+    def test_input_form_computed_once(self, monkeypatch):
+        # [TRIVIAL] a flip computes the input's canonical form at most once,
+        # however many axis offsets pass the AVC test
+        calls = []
+        form = TilingMap.canonical_form
+        monkeypatch.setattr(TilingMap, "canonical_form",
+                            lambda self: calls.append(self) or form(self))
+        for make in FLIP_SWEEP.values():
+            m = make()
+            for half in (False, True):
+                k = m.f // 4 if half else m.f // (8 if m.f % 8 == 0 else 2)
+                for start in range(k):
+                    for count in range(1, k + 1):
+                        calls.clear()
+                        try:
+                            flip_segment(m, start, count, half_zones=half)
+                        except (FlipInvalidError, DomainError):
+                            pass
+                        assert sum(c is m for c in calls) <= 1
 
 
 class TestFamilies:

@@ -242,6 +242,76 @@ def _flip_outputs(f):
                 yield half, start, count, flipped
 
 
+def _reference_traces(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
+    """The traces from their definition, sharing nothing with the library's
+    walk: every edge pair at each vertex is tried against both the edge
+    labels and the wedge corners of the fan, the walk runs on (vertex, edge)
+    keys with the stop rules it had before it read darts, and each cycle is
+    the least of all its rotations and reversals."""
+    def edge(s):
+        return min(s, m.glue[s]), max(s, m.glue[s])
+
+    def far(e, at):
+        v1, v2 = m.vertex_of[e[0]], m.vertex_of[e[1]]
+        return v2 if v1 == at else v1
+
+    cont = {}
+    for v, cycle in enumerate(m.vertices):
+        d = cycle.degree
+        # edge label of dart k at 2k, the corner between darts k and k + 1
+        # (the corner of dart k + 1's tile) at 2k + 1
+        ring = [x for k in range(d) for x in (
+            m.edge_label(cycle.darts[k]), cycle.corners[(k + 1) % d])]
+        for i in range(d):
+            for j in range(i + 1, d):
+                # the fan from edge i to edge j, read both ways round
+                ccw = ring[2 * i + 1:2 * j]
+                cw = [ring[p] for p in range(2 * i - 1, 2 * j - 2 * d, -1)]
+                if ccw == cw:
+                    ei, ej = edge(cycle.darts[i]), edge(cycle.darts[j])
+                    assert (v, ei) not in cont and (v, ej) not in cont
+                    cont[v, ei], cont[v, ej] = ej, ei
+
+    cycles, traced = [], set()
+    for start_v, start_edge in cont:
+        if start_edge in traced:
+            continue
+        path, on_path = [start_edge], {start_edge}
+        at = far(start_edge, start_v)
+        while (nxt := cont.get((at, path[-1]))) is not None:
+            if nxt == start_edge and at == start_v and len(path) > 1:
+                n = len(path)
+                cycles.append(min(
+                    tuple(seq) for r in range(n)
+                    for seq in (path[r:] + path[:r],
+                                (path[r:] + path[:r])[::-1])))
+                traced |= on_path
+                break
+            if nxt in on_path:
+                break
+            path.append(nxt)
+            on_path.add(nxt)
+            at = far(nxt, at)
+    return sorted(cycles)
+
+
+class TestReferenceTraces:
+    @pytest.mark.parametrize("name,arg", list(GOLDEN))
+    def test_golden_maps(self, name, arg):
+        # [DERIVED] only opposite edges bisect a vertex, and labels decide
+        # it: the walk over darts finds what the definition finds
+        m = getattr(quadtile, name)(arg)
+        for x in (m, relabel(m, 3), _mirror(m)):
+            assert vertex_bisecting_cycles(x) == _reference_traces(x)
+
+    @pytest.mark.parametrize("f", [24, 40])
+    def test_flip_outputs(self, f):
+        # [DERIVED] the flip modifications, chiral maps included
+        for *_, flipped in _flip_outputs(f):
+            assert (vertex_bisecting_cycles(flipped)
+                    == _reference_traces(flipped))
+
+
 # (constructor, argument) of the canonical-form goldens -> digest of
 # repr(classify(...)) of the map, of relabel(map, 3) and of its mirror
 # image, recorded before classify read orders and mirrors off the free

@@ -49,6 +49,13 @@ BAD_GLUE_ENTRIES = [[0, 5, 0, 4], [0, 4, 0, 0], [0.0, "AB", 1, "AB"],
 BAD_GLUE_IDS = ["slot-5", "slot-4", "float-tile", "bool-tile", "float-slot",
                 "name-XY"]
 
+#: orientation lists of earth_map(6) (all 0) that are not one int 0/1 per
+#: tile; read as truth values, each but the short one gave a valid map (all
+#: mirrored or all ccw)
+BAD_ORIENTS = [["0"] * 6, [], [None] * 6, [2] * 6, [True] * 6, [0] * 5]
+BAD_ORIENT_IDS = ["str-bits", "empty-bits", "null-bits", "bit-2",
+                  "bool-bits", "short-bits"]
+
 
 def reversed_tiles(m: TilingMap) -> TilingMap:
     """The map rebuilt from its JSON with tile t renamed f - 1 - t and the
@@ -271,12 +278,16 @@ class TestSerialization:
         [], None, {"f": 2}, {"f": "x", "glue": []}, {"f": 2, "glue": 5},
         {"f": 2, "glue": [[0, "AB", 1]]},
         {**json.loads(two_tile_map().to_json()), "orient": 7},
+        *({**json.loads(earth_map(6).to_json()), "orient": bits}
+          for bits in BAD_ORIENTS),
         *(two_tile_json_with(entry) for entry in BAD_GLUE_ENTRIES),
     ], ids=["list", "null", "no-glue", "str-f", "int-glue", "short-entry",
-            "int-orient", *BAD_GLUE_IDS])
+            "int-orient", *BAD_ORIENT_IDS, *BAD_GLUE_IDS])
     def test_malformed(self, data):
         # [TRIVIAL] a malformed layout is a TilingError, not a KeyError or
-        # TypeError from unpacking it
+        # TypeError from unpacking it; an orientation bit is the int 0 or 1
+        # and every tile has one ("0" is not read as mirrored, nor [] as
+        # all ccw)
         with pytest.raises(TilingError):
             TilingMap.from_json(json.dumps(data))
 
