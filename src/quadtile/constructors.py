@@ -371,12 +371,8 @@ def _flip_tiles(m: TilingMap, tiles: Iterable[int]) -> TilingMap:
     flip).
     """
     tiles = set(tiles)
-    if not tiles or len(tiles) >= m.f:
-        raise DomainError("flip segment must be a proper nonempty tile set")
     sb = _boundary_darts(m, tiles)
     n = len(sb)
-    if n % 2:
-        raise FlipInvalidError("boundary length must be even")
     # gap t = the boundary vertex between edges t-1 and t, where dart t
     # starts: each boundary dart starts where the one before it ends
     gaps = [m.vertex_of[s] for s in sb]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -501,8 +500,10 @@ def _triad(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
 def realize(m: TilingMap, q: SphericalQuad,
             tol: float = TOL_REALIZE) -> Realization:
-    """Embed the map on the unit sphere by breadth-first frame propagation
-    from tile 0 (corner A at the north pole, AB along the prime meridian).
+    """Embed the map on the unit sphere by frame propagation along the
+    map's spanning ``tree``: tile 0 goes first (corner A at the north pole,
+    AB along the prime meridian), then each tree dart's tile is fitted to
+    the two ends of that dart, which the tile across it has placed.
 
     Every vertex of the map must satisfy its angle sum within 1e-9; all
     coordinates assigned to a vertex must agree within ``tol`` (default
@@ -547,20 +548,12 @@ def realize(m: TilingMap, q: SphericalQuad,
                 coords[v] = p
 
     place(0, list(canonical[m.orient[0]]))
-    queue = deque([0])
-    while queue:
-        t = queue.popleft()
-        for pos in range(4):
-            other = m.glue[4 * t + pos]
-            t2 = other // 4
-            if world[t2] is not None:
-                continue
-            c1 = other % 4
-            w1 = coords[tile_corners[t2][c1]]
-            w2 = coords[tile_corners[t2][(c1 + 1) % 4]]
-            R = _triad(w1, w2) @ frames[m.orient[t2], c1]
-            place(t2, [R @ p for p in canonical[m.orient[t2]]])
-            queue.append(t2)
+    for dart in m.tree:
+        t2, c1 = divmod(dart, 4)
+        w1 = coords[tile_corners[t2][c1]]
+        w2 = coords[tile_corners[t2][(c1 + 1) % 4]]
+        R = _triad(w1, w2) @ frames[m.orient[t2], c1]
+        place(t2, [R @ p for p in canonical[m.orient[t2]]])
 
     if worst > tol:
         raise ClosureError(

@@ -63,9 +63,9 @@ def automorphisms(m: TilingMap) -> list[MapAutomorphism]:
 
     An automorphism is fixed by the image of tile 0, and the orientation
     bits of tile 0 and its image say whether it reverses orientation.  For
-    each candidate image not yet reached, the permutation is forced
-    edge-by-edge; a candidate survives iff the forced map is a bijection
-    commuting with the gluing.  Each survivor is a new generator, and the
+    each candidate image not yet reached, the permutation is forced along
+    the map's spanning tree; a candidate survives iff the forced map
+    commutes with the gluing.  Each survivor is a new generator, and the
     group found so far is closed under composition with the generators, so
     only a few images need the propagation.
     """
@@ -93,33 +93,24 @@ def automorphisms(m: TilingMap) -> list[MapAutomorphism]:
 def _propagate(
     m: TilingMap, target: int, reversing: bool
 ) -> tuple[int, ...] | None:
-    perm: list[int | None] = [None] * m.f
-    perm[0] = target
-    stack = [0]
-    used = {target}
-    while stack:
-        t = stack.pop()
-        t2 = perm[t]
-        assert t2 is not None
-        for pos in range(4):
-            g1 = m.glue[4 * t + pos]
-            g2 = m.glue[4 * t2 + pos]
-            if g1 % 4 != g2 % 4:
-                return None  # partner slot labels disagree
-            n1, n2 = g1 // 4, g2 // 4
-            if m.orient[n2] != m.orient[n1] ^ reversing:
-                return None
-            if perm[n1] is None:
-                if n2 in used:
-                    return None
-                perm[n1] = n2
-                used.add(n2)
-                stack.append(n1)
-            elif perm[n1] != n2:
-                return None
-    if any(p is None for p in perm):
+    """The tile permutation sending tile 0 to ``target``, forced along
+    ``m.tree`` (tree dart d goes to the dart glued to the image of its
+    parent dart glue[d]), or None unless it commutes with the gluing.  Then
+    it is a covering of the map by itself: its image is closed under
+    gluing, so on a connected map it is onto, and so one-to-one."""
+    glue, orient = m.glue, m.orient
+    perm = [target] + [0] * (m.f - 1)
+    for d in m.tree:
+        e = glue[d]
+        image = glue[4 * perm[e >> 2] + (e & 3)]
+        if (image & 3 != d & 3
+                or orient[image >> 2] != orient[d >> 2] ^ reversing):
+            return None
+        perm[d >> 2] = image >> 2
+    if any(glue[4 * perm[s >> 2] + (s & 3)] != 4 * perm[t >> 2] + (t & 3)
+           for s, t in enumerate(glue)):
         return None
-    return tuple(perm)  # type: ignore[arg-type]
+    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------

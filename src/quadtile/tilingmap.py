@@ -8,7 +8,7 @@ read counterclockwise on the sphere, 1 marks a mirror copy.  Slot s is
 also a dart: its edge traversed counterclockwise around its tile on the
 sphere.  The vertices are the orbits of sigma, s -> face_next(glue[s]),
 the next dart ccw around the vertex at the start of s; ``build`` walks
-them once into the vertex table.
+them once into the vertex table, and the tiles once into a spanning tree.
 """
 
 from __future__ import annotations
@@ -91,13 +91,16 @@ class VertexCycle:
 @dataclass(frozen=True)
 class TilingMap:
     """Immutable validated tiling map; ``vertex_of[s]`` is the index in
-    ``vertices`` of the vertex at the start of dart s."""
+    ``vertices`` of the vertex at the start of dart s.  ``tree``, a
+    spanning tree, lists each tile but 0 in breadth-first order from tile 0
+    by the dart through which the walk first enters it."""
 
     f: int
     glue: tuple[int, ...]
     orient: tuple[int, ...]
     vertices: tuple[VertexCycle, ...] = field(compare=False)
     vertex_of: tuple[int, ...] = field(compare=False, repr=False)
+    tree: tuple[int, ...] = field(compare=False, repr=False)
 
     # -- slot helpers -----------------------------------------------------
 
@@ -152,7 +155,10 @@ class TilingMap:
     @staticmethod
     def from_json(text: str) -> "TilingMap":
         """Parse ``to_json`` output; a malformed layout raises TilingError."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise TilingError("map JSON is nested too deeply") from None
         if not (isinstance(data, dict) and "f" in data and "glue" in data):
             raise TilingError("map JSON must be an object with 'f' and 'glue'")
         f, glue, orient = data["f"], data["glue"], data.get("orient")
@@ -162,6 +168,9 @@ class TilingMap:
                 and all(isinstance(e, list) and len(e) == 4 for e in glue)):
             raise TilingError(
                 "'glue' must be a list of [tile, slot, tile, slot] entries")
+        if len(glue) != 2 * f:  # before build sizes its tables by f
+            raise TilingError(f"f = {f} needs 2f = {2 * f} glue entries, "
+                              f"got {len(glue)}")
         if orient is not None and not isinstance(orient, list):
             raise TilingError(f"'orient' must be a list, got {orient!r}")
         pairs = [((t1, s1), (t2, s2)) for t1, s1, t2, s2 in glue]
@@ -311,19 +320,17 @@ def build(
         raise InvolutionError(
             f"unglued slots: {[_slot_name(s) for s in missing[:8]]}")
 
-    # connectivity over tile adjacency
-    seen = {0}
-    stack = [0]
-    while stack:
-        t = stack.pop()
-        for p in range(4):
-            t2 = glue[4 * t + p] // 4
-            if t2 not in seen:
-                seen.add(t2)
-                stack.append(t2)
-    if len(seen) != f:
+    # the spanning tree, breadth-first from tile 0
+    order, tree, seen = [0], [], [True] + [False] * (f - 1)
+    for t in order:  # grows while it is walked
+        for d in glue[4 * t:4 * t + 4]:
+            if not seen[d >> 2]:
+                seen[d >> 2] = True
+                order.append(d >> 2)
+                tree.append(d)
+    if len(order) != f:
         raise DisconnectedError(
-            f"map is disconnected: reached {len(seen)} of {f} tiles")
+            f"map is disconnected: reached {len(order)} of {f} tiles")
 
     # the sigma orbits, each from its least dart, in order of that dart
     vertex_of = [-1] * (4 * f)
@@ -343,7 +350,8 @@ def build(
         raise EulerError(
             f"Euler characteristic v - e + f = {v - 2 * f + f}, expected 2")
     return TilingMap(f=f, glue=tuple(glue), orient=orient_bits,
-                     vertices=tuple(vertices), vertex_of=tuple(vertex_of))
+                     vertices=tuple(vertices), vertex_of=tuple(vertex_of),
+                     tree=tuple(tree))
 
 
 def _face_next(orient: Sequence[int], slot: int) -> int:

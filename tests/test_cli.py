@@ -14,7 +14,8 @@ from quadtile import geometry
 from quadtile.cli import main
 
 
-#: JSON documents that parse but are not a map layout
+#: map files that are not a map layout: JSON documents, and one raw text
+#: (the str), JSON nested too deeply to parse
 MALFORMED = [
     [], None, {"f": 2}, {"f": "x", "glue": []}, {"f": 2, "glue": 5},
     {"f": 2, "glue": [[0, "AB", 1, "AB"], [0, "BC", 1, "BC"],
@@ -26,6 +27,7 @@ MALFORMED = [
     *({"f": 2, "glue": [entry, [0, "BC", 1, "BC"], [0, "CD", 1, "CD"],
                         [0, "DA", 1, "DA"]], "orient": [0, 1]}
       for entry in ([0, 5, 0, 4], [0.0, "AB", 1, "AB"], [0, "XY", 1, "AB"])),
+    "[" * 100000,
 ]
 
 
@@ -141,15 +143,24 @@ class TestVerify:
     @pytest.mark.parametrize("data", MALFORMED, ids=[
         "list", "null", "no-glue", "str-f", "int-glue", "int-orient",
         "str-bits", "empty-bits", "null-bits", "slot-5", "float-tile",
-        "name-XY"])
+        "name-XY", "deep-nesting"])
     def test_malformed_map(self, capsys, tmp_path, command, data):
-        # [TRIVIAL] well-formed JSON that is not a map layout is a usage
-        # error, not a traceback
+        # [TRIVIAL] well-formed JSON that is not a map layout, or JSON too
+        # deeply nested to parse, is a usage error, not a traceback
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(data if isinstance(data, str) else json.dumps(data))
         extra = ["--delta", "pi/3"] if command == "realize" else []
         code, _, err = run(capsys, command, str(bad), *extra)
         assert code == 2 and err.startswith("error:")
+
+    def test_short_glue_rejected_first(self, capsys, tmp_path):
+        # [TRIVIAL] a 26-byte file claiming a million tiles is refused on
+        # its glue count, before a table of 4f slots is allocated
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({"f": 10**6, "glue": []}))
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert "2000000 glue entries" in err and "got 0" in err
 
 
 class TestRealize:

@@ -35,6 +35,7 @@ from quadtile.geometry import (
     solve_edges,
     trig_residuals,
 )
+from quadtile.tilingmap import build
 
 S5 = math.sqrt(5.0)
 
@@ -105,6 +106,11 @@ class TestClosedForms:
         for bad in (0.2, math.pi * 0.8):
             with pytest.raises(GeometryError):
                 closed_form_cube_subdivision(bad)
+
+    def test_family_domain(self):
+        # [PAPER] the family quad needs f = 0 (mod 8)
+        with pytest.raises(GeometryError, match="divisible by 8"):
+            closed_form_family(12)
 
 
 class TestSolveEdges:
@@ -237,6 +243,19 @@ class TestLune:
                 q = lune_quad(a, alpha, theta, exterior=True)
                 assert abs(area(q) - alpha) < 1e-9
 
+    @pytest.mark.parametrize("a,alpha,theta,exterior,message", [
+        (0.9, math.pi, 0.4, False, r"alpha = .* outside \(0, pi\)"),
+        (0.9, 1.1, 1.1, False, r"outside \(0, alpha\)"),
+        (math.pi / 2, 1.1, 0.4, True, "exterior mode requires a"),
+        (0.9, 1.1, math.pi - 1.1, True, r"outside \(0, pi - alpha\)"),
+    ], ids=["alpha", "theta", "exterior-a", "exterior-theta"])
+    def test_domain(self, a, alpha, theta, exterior, message):
+        # [TRIVIAL] a lune of angle alpha in (0, pi), split at the apex
+        # into theta in (0, alpha); the exterior cut-out needs a < pi/2
+        # and alpha + theta < pi
+        with pytest.raises(GeometryError, match=message):
+            lune_quad(a, alpha, theta, exterior=exterior)
+
     def test_degeneracy_warning(self):
         # [DERIVED] coincident edges warn rather than fail
         q0 = lune_quad(0.9, 1.1, 0.4)
@@ -293,6 +312,13 @@ class TestRealize:
         # [DERIVED] the f=16 quad cannot realize the f=24 map
         with pytest.raises((ClosureError, GeometryError)):
             realize(pq_earth_map(24), closed_form_family(16))
+
+    def test_unverified_map(self):
+        # [TRIVIAL] the two-tile map, all four slots glued across, fails
+        # verification before any tile is placed
+        pairs = [((0, p), (1, p)) for p in ("AB", "BC", "CD", "DA")]
+        with pytest.raises(GeometryError, match="map fails verification"):
+            realize(build(2, pairs, orient=[0, 1]), closed_form_family(16))
 
 
 class TestExport:

@@ -1,8 +1,10 @@
 """Combinatorial automorphisms, point-group classification, mirror traces."""
 
 import hashlib
+import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from quadtile.symmetry import (
     classify,
     vertex_bisecting_cycles,
 )
-from quadtile.tilingmap import TilingMap
+from quadtile.tilingmap import TilingError, TilingMap, build
 
 
 class TestGroupStructure:
@@ -242,6 +244,36 @@ def _flip_outputs(f):
                 yield half, start, count, flipped
 
 
+def _matchings(slots):
+    """Every perfect matching of the slots, as lists of pairs."""
+    if not slots:
+        yield []
+        return
+    first, rest = slots[0], slots[1:]
+    for i, other in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + tail
+
+
+@pytest.fixture(scope="module")
+def small_maps():
+    """Every map that build accepts with f <= 4 and tile 0 ccw: the
+    a-slots (AB, DA), the b-slots (BC) and the c-slots (CD) each matched
+    among themselves in every way, under every orientation of the other
+    tiles (3 at f = 2; 732 of the 105 * 3 * 3 * 8 at f = 4)."""
+    maps = []
+    for f in (2, 4):
+        by_label = [list(_matchings([(t, p) for t in range(f) for p in ps]))
+                    for ps in ((0, 3), (1,), (2,))]
+        for a, b, c in itertools.product(*by_label):
+            for bits in itertools.product((0, 1), repeat=f - 1):
+                try:
+                    maps.append(build(f, a + b + c, orient=(0, *bits)))
+                except TilingError:
+                    pass
+    return maps
+
+
 def _reference_traces(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
     """The traces from their definition, sharing nothing with the library's
     walk: every edge pair at each vertex is tried against both the edge
@@ -310,6 +342,12 @@ class TestReferenceTraces:
         for *_, flipped in _flip_outputs(f):
             assert (vertex_bisecting_cycles(flipped)
                     == _reference_traces(flipped))
+
+    def test_small_maps(self, small_maps):
+        # [DERIVED] every map with f <= 4: on 54 of them the labels next
+        # to the axis edges alone decide whether a vertex is bisected
+        for m in small_maps:
+            assert vertex_bisecting_cycles(m) == _reference_traces(m)
 
 
 # (constructor, argument) of the canonical-form goldens -> digest of
@@ -444,6 +482,36 @@ class TestFreeAction:
             assert sc.mirror_count == sum(
                 any(kind == "edge" for kind, _ in c) for c in cells)
             assert sc.has_inversion == any(not c for c in cells)
+
+
+class TestSmallMapsFreeAction(TestFreeAction):
+    """The same facts on every map with f <= 4."""
+
+    @pytest.fixture(scope="class")
+    def golden_groups(self, small_maps):
+        return [(m, automorphisms(m)) for m in small_maps]
+
+
+#: digest of (automorphisms as (perm, reversing) pairs, repr(classify)) over
+#: the small_maps fixture, recorded before the automorphism search read
+#: build's spanning tree
+SMALL_GOLDEN = (
+    "3f631610eac1b0658441d54d2e91e501596469517ceab990d2dd72da7cdece66")
+
+
+class TestSmallMaps:
+    def test_count(self, small_maps):
+        # [DERIVED] 3 maps at f = 2, 732 at f = 4
+        assert Counter(m.f for m in small_maps) == {2: 3, 4: 732}
+
+    def test_groups_and_classes(self, small_maps):
+        # [DERIVED] every automorphism and class, including the first maps
+        # to reach C_s, C_2h, C_2v and S_2
+        got = [([(g.perm, g.reversing) for g in automorphisms(m)],
+                repr(classify(m))) for m in small_maps]
+        assert _digest(got) == SMALL_GOLDEN
+        names = {classify(m).name for m in small_maps}
+        assert {"C_s", "C_2h", "C_2v", "S_2"} <= names
 
 
 class TestGeometricCrossCheck:

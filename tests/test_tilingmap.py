@@ -281,15 +281,25 @@ class TestSerialization:
         *({**json.loads(earth_map(6).to_json()), "orient": bits}
           for bits in BAD_ORIENTS),
         *(two_tile_json_with(entry) for entry in BAD_GLUE_ENTRIES),
+        "[" * 100000,
     ], ids=["list", "null", "no-glue", "str-f", "int-glue", "short-entry",
-            "int-orient", *BAD_ORIENT_IDS, *BAD_GLUE_IDS])
+            "int-orient", *BAD_ORIENT_IDS, *BAD_GLUE_IDS, "deep-nesting"])
     def test_malformed(self, data):
         # [TRIVIAL] a malformed layout is a TilingError, not a KeyError or
         # TypeError from unpacking it; an orientation bit is the int 0 or 1
         # and every tile has one ("0" is not read as mirrored, nor [] as
-        # all ccw)
+        # all ccw); a str is raw text, here JSON nested too deeply for
+        # json.loads, which is a TilingError, not a RecursionError
         with pytest.raises(TilingError):
-            TilingMap.from_json(json.dumps(data))
+            TilingMap.from_json(
+                data if isinstance(data, str) else json.dumps(data))
+
+    def test_glue_count_checked_first(self):
+        # [TRIVIAL] a file claiming a million tiles with no glue is refused
+        # on its glue count, naming both counts, before build allocates its
+        # table of 4f slots
+        with pytest.raises(TilingError, match=r"2000000 glue entries.*got 0"):
+            TilingMap.from_json(json.dumps({"f": 10**6, "glue": []}))
 
     @pytest.mark.parametrize("entry", BAD_GLUE_ENTRIES, ids=BAD_GLUE_IDS)
     def test_bad_glue_entry_named(self, entry):
