@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -265,10 +264,11 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
     """Enumerate angle- and count-feasible AVCs at a concrete f.
 
     Subsets of at most 6 signatures of the degree-3/4/5 catalog are combined
-    with at most 2 admissible signatures of degree 6..max_degree (default
-    max(f // 2, 6)).  A candidate must admit angle values with all four
-    angles in (0, 2pi), at most one angle >= pi, beta != delta unless
-    gamma = pi, and an all-positive multiplicity vector.  Results are a
+    with at most 2 admissible signatures of degree 6 up to both max_degree
+    (default max(f // 2, 6)) and f - 3, since Euler's degree budget below
+    leaves no vertex of higher degree.  A candidate must admit angle values
+    with all four angles in (0, 2pi), at most one angle >= pi, beta != delta
+    unless gamma = pi, and an all-positive multiplicity vector.  Results are a
     superset of the AVCs of actual tilings within these bounds;
     known-untileable combinations are flagged.
 
@@ -286,22 +286,19 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
 
     low = [s for k in (3, 4, 5) if k <= max_degree
            for s in degree_vertex_catalog(k)]
-    high = [s for k in range(6, max_degree + 1)
+    high = [s for k in range(6, min(max_degree, f - 3) + 1)
             for s in _signatures_of_degree(k)
             if max(s.exponents) <= f]
 
-    found: dict[tuple, AVCCandidate] = {}
+    found: list[AVCCandidate] = []
     mask = {s: _balance_mask(s) for s in low + high}
-    high_mask = functools.reduce(operator.or_, (mask[s] for s in high), 0)
-
-    witness = functools.cache(_node_witness)
 
     @functools.cache
     def pin(node: AffineAngles | None,
             s: VertexSignature) -> AffineAngles | None:
         child = (solve_affine([s], include_quad_sum=True, f=f) if node is None
                  else node.pin(node.equation(s)))
-        return child if child is not None and witness(child) else None
+        return child if child is not None and _node_witness(child) else None
 
     def step(node: AffineAngles | None,
              s: VertexSignature) -> AffineAngles | None:
@@ -313,57 +310,49 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
                 return None if const else node
         return pin(node, s)
 
-    def consider(subset: list[VertexSignature], node: AffineAngles) -> None:
-        support = frozenset(subset)
-        sigs = tuple(sorted(subset, key=catalog_sort_key))
-        key = tuple(s.exponents for s in sigs)
-        if key in found:
+    def consider(subset: list[VertexSignature], node: AffineAngles,
+                 support_mask: int) -> None:
+        if not _balanced(support_mask):
             return
         counts = next(_multiplicity_vectors(subset, f, True), None)
         if counts is None:
             return
+        sigs = tuple(sorted(subset, key=catalog_sort_key))
         exprs = None
         if not node.free:
             exprs = tuple(AngleExpr.pi(Fraction(row[0], node.den))
                           for row in node.rows)
-        found[key] = AVCCandidate(
-            f=f,
-            signatures=sigs,
-            multiplicities=tuple(counts[s] for s in sigs),
-            angles=exprs,
-            known_unrealizable=_is_known_unrealizable(support),
-        )
+        found.append(AVCCandidate(
+            f=f, signatures=sigs,
+            multiplicities=tuple(counts[s] for s in sigs), angles=exprs,
+            known_unrealizable=_is_known_unrealizable(frozenset(subset))))
 
-    # the high signatures compatible with a node depend only on its solution
-    # set, so share them across subsets with equal solutions
-    comp_cache: dict[AffineAngles, list[VertexSignature]] = {}
+    # a node's compatible high signatures, each with the node it steps to,
+    # depend only on its solution set, so subsets with equal nodes share them
+    comp_cache: dict[AffineAngles, list] = {}
 
     def extend_high(subset: list[VertexSignature], base: AffineAngles,
                     subset_mask: int, budget: int) -> None:
-        if _balanced(subset_mask):
-            consider(subset, base)
-        # high signatures have degree >= 6, so they cannot supply a missing
-        # degree-3 vertex; each pair side the subset lacks must come from them
-        gt, lt = subset_mask & 63, (subset_mask >> 6) & 63
-        missing = (gt & ~lt) << 6 | (lt & ~gt)
-        if not subset_mask & _DEGREE3_BIT or missing & ~high_mask:
-            return
+        consider(subset, base, subset_mask)
+        if not subset_mask & _DEGREE3_BIT:
+            return  # high signatures cannot supply a degree-3 vertex
         if base not in comp_cache:
-            comp_cache[base] = [s for s in high if step(base, s) is not None]
-        for r in (1, 2):
-            for combo in itertools.combinations(comp_cache[base], r):
-                if not _balanced(functools.reduce(
-                        operator.or_, map(mask.get, combo), subset_mask)):
-                    continue
-                if sum(s.degree for s in combo) - 3 * r > budget:
-                    continue
-                node = base
-                for s in combo:
-                    node = step(node, s)
-                    if node is None:
-                        break
-                else:
-                    consider(subset + list(combo), node)
+            comp_cache[base] = [(s, node) for s in high
+                                if (node := step(base, s)) is not None]
+        comp = comp_cache[base]
+        for i, (s, node) in enumerate(comp):
+            cost = s.degree - 3
+            if cost > budget:
+                break  # high is in ascending degree
+            s_mask = subset_mask | mask[s]
+            consider(subset + [s], node, s_mask)
+            for t, _ in comp[i + 1:]:
+                if cost + t.degree - 3 > budget:
+                    break
+                if _balanced(s_mask | mask[t]):
+                    pair = step(node, t)
+                    if pair is not None:
+                        consider(subset + [s, t], pair, s_mask | mask[t])
 
     def rec_low(start: int, subset: list[VertexSignature],
                 node: AffineAngles | None, subset_mask: int,
@@ -383,9 +372,8 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
                 subset.pop()
 
     rec_low(0, [], None, 0, f - 6)
-    return sorted(found.values(),
-                  key=lambda c: (len(c.signatures),
-                                 tuple(s.exponents for s in c.signatures)))
+    return sorted(found, key=lambda c: (
+        len(c.signatures), tuple(s.exponents for s in c.signatures)))
 
 
 # Inside the search a solved vertex-angle system at concrete f is carried as
@@ -399,11 +387,11 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
 # other equation pins the node, eliminating the first free angle, in alpha,
 # beta, gamma order, with a nonzero coefficient, and the pinned node is kept
 # only if it has a witness.  Of the steps, only pins are cached, keyed on
-# (node, signature); the witness is cached per node, since different pins
-# can reach the same node.  The first signature has no node to pin, so its
-# node comes from ``solve_affine`` with the quadrilateral sum: which angles
-# stay free matters, because the witness below samples the free angles on a
-# grid, and the solver's pivot order fixes them.
+# (node, signature), so the witness runs once per pin miss; a node that
+# several pins reach is judged again.  The first signature has no node to
+# pin, so its node comes from ``solve_affine`` with the quadrilateral sum:
+# which angles stay free matters, because the witness below samples the
+# free angles on a grid, and the solver's pivot order fixes them.
 
 
 def _node_witness(node: AffineAngles) -> bool:

@@ -610,7 +610,9 @@ def _edge_polylines(
     each edge's angle through ``math.acos``, which ``np.arccos`` does not
     match.  ``np.sin`` matches ``math.sin`` on the x86-64 hosts tried; the
     golden digests in ``tests/test_geometry.py`` catch a platform where it
-    does not.
+    does not.  Those digests also pin the BLAS kernel: the batched matmul
+    rounds each 3-term dot product as a fused multiply-add there, and a
+    kernel that sums in another order moves the last bit of the output.
     """
     slots = [s for s, _ in real.map.edges()]
     corners = np.array(real.tile_corners, dtype=np.intp).reshape(-1, 4)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadtile import combinatorics
 from quadtile.angles import (
     ANGLE_NAMES,
     AngleExpr,
@@ -278,6 +279,21 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_avcs(7)
 
+    def test_degree_cap(self, monkeypatch):
+        # [DERIVED] sum n_v (deg_v - 3) = f - 6 leaves no vertex of degree
+        # above f - 3, so no signature of higher degree is generated
+        degrees = []
+
+        def spy(k):
+            degrees.append(k)
+            return _signatures_of_degree(k)
+
+        monkeypatch.setattr(combinatorics, "_signatures_of_degree", spy)
+        capped = search_avcs(8, max_degree=20)
+        assert degrees and max(degrees) <= 8 - 3
+        monkeypatch.undo()
+        assert capped == search_avcs(8, max_degree=5)
+
 
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -390,6 +406,8 @@ class TestGoldenDifferential:
         (36, 7): "e154927b8c1c4317bcd0b65d31b72df5d04e99664721fbaaf3eeac5a2c71c71c",
         (40, 7): "3272b04822f198c66ce43bded35f7d267efc9a030d79073fb55d87c3dfb11bcf",
         (48, 7): "2402fecc6b89d503de34918c05f35ba60ba426ad84b3cf4e474c494abc793b9f",
+        # recorded before each compatible high signature was stepped once
+        (16, 7): "d07f477ede7de7dcb871a49acfcf80d7547aa292446b3ff4a98d9b72654a30ab",
     }
     SOLVER_DIGESTS = {
         (24, True): "9093fcb6cf5547352240ab29972716464b87b5f99d7e20b08d5b7e382bb7b68f",
@@ -403,11 +421,14 @@ class TestGoldenDifferential:
         SEARCH_DIGESTS, key=lambda k: k[0]))
     def test_search(self, f, max_degree, request):
         # [DERIVED] candidate lists unchanged: signatures x multiplicities,
-        # angle strings and the known-unrealizable flag, in output order
+        # angle strings and the known-unrealizable flag, in output order;
+        # each support is listed once
         if (f, max_degree) == (24, None):
             cands = request.getfixturevalue("search24")
         else:
             cands = search_avcs(f, max_degree=max_degree)
+        supports = [frozenset(c.signatures) for c in cands]
+        assert len(set(supports)) == len(supports)
         assert _digest(map(_candidate_line, cands)) == \
             self.SEARCH_DIGESTS[(f, max_degree)]
 

@@ -206,48 +206,49 @@ FLIP_SWEEP_GOLDEN = (
     585, "ab451f1b3023c0eee512db6a2a6f4cc92340565401210729f164e75830abc4f1")
 
 
-class TestGoldenFlipSweep:
-    def test_outcomes(self):
-        # [DERIVED] every flip and every refusal, with its message
-        runs, n = [], 0
+@pytest.fixture(scope="module")
+def flip_sweep():
+    """The flip sweep, run once: per map, ((half_zones, start, count,
+    outcome), input_forms) for every call, where input_forms counts the
+    call's computations of the input map's canonical form."""
+    calls, runs = [], []
+    form = TilingMap.canonical_form
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TilingMap, "canonical_form",
+                   lambda self: calls.append(self) or form(self))
         for name, make in FLIP_SWEEP.items():
             m, out = make(), []
             for half in (False, True):
                 k = m.f // 4 if half else m.f // (8 if m.f % 8 == 0 else 2)
                 for start in range(k):
                     for count in range(1, k + 1):
+                        calls.clear()
                         try:
                             flipped = flip_segment(m, start, count,
                                                    half_zones=half)
-                            res = _digest(flipped.canonical_form())
                         except (FlipInvalidError, DomainError) as e:
                             res = (type(e).__name__, str(e))
-                        out.append((half, start, count, res))
+                        else:
+                            res = _digest(form(flipped))
+                        out.append(((half, start, count, res),
+                                    sum(c is m for c in calls)))
             runs.append((name, out))
-            n += len(out)
+    return runs
+
+
+class TestGoldenFlipSweep:
+    def test_outcomes(self, flip_sweep):
+        # [DERIVED] every flip and every refusal, with its message
+        runs = [(name, [row for row, _ in out]) for name, out in flip_sweep]
+        n = sum(len(out) for _, out in runs)
         assert (n, _digest(runs)) == FLIP_SWEEP_GOLDEN
 
 
 class TestFlipCanonicalForms:
-    def test_input_form_computed_once(self, monkeypatch):
+    def test_input_form_computed_once(self, flip_sweep):
         # [TRIVIAL] a flip computes the input's canonical form at most once,
         # however many axis offsets pass the AVC test
-        calls = []
-        form = TilingMap.canonical_form
-        monkeypatch.setattr(TilingMap, "canonical_form",
-                            lambda self: calls.append(self) or form(self))
-        for make in FLIP_SWEEP.values():
-            m = make()
-            for half in (False, True):
-                k = m.f // 4 if half else m.f // (8 if m.f % 8 == 0 else 2)
-                for start in range(k):
-                    for count in range(1, k + 1):
-                        calls.clear()
-                        try:
-                            flip_segment(m, start, count, half_zones=half)
-                        except (FlipInvalidError, DomainError):
-                            pass
-                        assert sum(c is m for c in calls) <= 1
+        assert all(forms <= 1 for _, out in flip_sweep for _, forms in out)
 
 
 class TestFamilies:
