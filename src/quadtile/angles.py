@@ -110,22 +110,14 @@ def _pi_term(coeff: Fraction, unit: str) -> str:
     return sign + body
 
 
-@dataclass(frozen=True, order=True)
-class VertexSignature:
-    """Exponent vector alpha^a beta^b gamma^c delta^d of a vertex."""
+class VertexSignature(NamedTuple):
+    """Exponent vector alpha^a beta^b gamma^c delta^d of a vertex; it
+    hashes, compares and sorts as the plain tuple (a, b, c, d)."""
 
     a: int
     b: int
     c: int
     d: int
-
-    def __post_init__(self) -> None:
-        # signatures key the AVC search's caches and dicts, so the hash
-        # (the dataclass one, of the exponent tuple) is computed once
-        object.__setattr__(self, "_hash", hash(self.exponents))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def degree(self) -> int:
@@ -133,11 +125,11 @@ class VertexSignature:
 
     @property
     def exponents(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def __str__(self) -> str:
         parts = []
-        for name, e in zip(ANGLE_NAMES, self.exponents):
+        for name, e in zip(ANGLE_NAMES, self):
             if e == 1:
                 parts.append(_GREEK[name])
             elif e > 1:
@@ -159,7 +151,10 @@ class VertexSignature:
         exps = {"a": 0, "b": 0, "g": 0, "d": 0}
         for letter, digits in re.findall(r"([abgd])(\d*)", s):
             exps[letter] += int(digits) if digits else 1
-        return VertexSignature(exps["a"], exps["b"], exps["g"], exps["d"])
+        sig = VertexSignature(exps["a"], exps["b"], exps["g"], exps["d"])
+        if not sig.degree:
+            raise ValueError(f"vertex signature of degree 0: {text!r}")
+        return sig
 
 
 _SUPERSCRIPTS_INV = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
@@ -177,7 +172,7 @@ def vertex_sum_residual(
 ) -> Fraction:
     """a*alpha + b*beta + c*gamma + d*delta - 2 pi, as a multiple of pi."""
     return sum((e * a.coefficient_of_pi(f)
-                for e, a in zip(sig.exponents, angles)), Fraction(-2))
+                for e, a in zip(sig, angles)), Fraction(-2))
 
 
 @dataclass(frozen=True)
@@ -262,7 +257,7 @@ class AffineAngles(NamedTuple):
 
     def equation(self, sig: VertexSignature) -> list[int]:
         """sig's angle sum minus 2pi, as a row (const, k_1..k_m) over den."""
-        a, b, c, d = sig.exponents
+        a, b, c, d = sig
         eq = [a * ka + b * kb + c * kc + d * kd
               for ka, kb, kc, kd in zip(*self.rows)]
         eq[0] -= 2 * self.den
@@ -315,7 +310,7 @@ def _solve(
     ``_eliminate`` steps, reduced once at the end: the pivot columns depend
     only on column ranks, so row order and scaling do not matter."""
     # columns alpha, beta, gamma, delta, x | right-hand side
-    rows = [[*s.exponents, 0, 2] for s in set(signatures)]
+    rows = [[*s, 0, 2] for s in set(signatures)]
     if not rows:
         raise ValueError("signature set must be nonempty")
     if include_quad_sum:

@@ -30,7 +30,7 @@ __all__ = [
 def parity_admissible(sig: VertexSignature) -> bool:
     """Whether the signature can occur at a vertex (degree >= 3 and the
     allowed exponent-parity shapes)."""
-    a, b, c, d = sig.exponents
+    a, b, c, d = sig
     if sig.degree < 3:
         return False
     if a > 0:
@@ -165,7 +165,7 @@ def _multiplicity_vectors(
     sufmax = [(0, 0, 0, 0)] * (n + 1)
     sufdeg = [(0, 0)] * (n + 1)
     for i in range(n - 1, -1, -1):
-        a, b, c, d = sigs[i].exponents
+        a, b, c, d = sigs[i]
         pa, pb, pc, pd = sufmax[i + 1]
         sufmax[i] = (max(a, pa), max(b, pb), max(c, pc), max(d, pd))
         dmin, dmax = sufdeg[i + 1]
@@ -188,7 +188,7 @@ def _multiplicity_vectors(
         if total > rv * dmax or total < rv * dmin:
             return
         sig = sigs[i]
-        a, b, c, d = sig.exponents
+        a, b, c, d = sig
         bounds = [rv - lo * (n - 1 - i)]  # room for the later signatures
         for e, r in ((a, ra), (b, rb), (c, rc), (d, rd)):
             if e:
@@ -239,12 +239,11 @@ def _balance_mask(sig: VertexSignature) -> int:
     """13-bit count-balance mask of a signature: for angle pair k of
     ``_ANGLE_PAIRS``, bit k is set when the first exponent is larger and bit
     k + 6 when it is smaller; bit 12 is set when the degree is 3."""
-    e = sig.exponents
     mask = _DEGREE3_BIT if sig.degree == 3 else 0
     for k, (i, j) in enumerate(_ANGLE_PAIRS):
-        if e[i] > e[j]:
+        if sig[i] > sig[j]:
             mask |= 1 << k
-        elif e[i] < e[j]:
+        elif sig[i] < sig[j]:
             mask |= 1 << (k + 6)
     return mask
 
@@ -288,7 +287,7 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
            for s in degree_vertex_catalog(k)]
     high = [s for k in range(6, min(max_degree, f - 3) + 1)
             for s in _signatures_of_degree(k)
-            if max(s.exponents) <= f]
+            if max(s) <= f]
 
     found: list[AVCCandidate] = []
     mask = {s: _balance_mask(s) for s in low + high}
@@ -372,8 +371,7 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
                 subset.pop()
 
     rec_low(0, [], None, 0, f - 6)
-    return sorted(found, key=lambda c: (
-        len(c.signatures), tuple(s.exponents for s in c.signatures)))
+    return sorted(found, key=lambda c: (len(c.signatures), c.signatures))
 
 
 # Inside the search a solved vertex-angle system at concrete f is carried as

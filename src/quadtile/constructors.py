@@ -355,7 +355,7 @@ _AXIS_CANDIDATES = (0, -2, 1, -1)
 
 def _avc_class(m: TilingMap) -> list[tuple[int, int, int, int]]:
     """The AVC up to canonical_form's beta<->delta flip."""
-    avc = sorted(v.signature.exponents for v in m.vertices)
+    avc = sorted(v.signature for v in m.vertices)
     return min(avc, sorted((a, d, c, b) for a, b, c, d in avc))
 
 
@@ -466,8 +466,8 @@ def decompose_time_zones(m: TilingMap) -> list[TimeZoneDisk]:
 def _matched_zones(zones: list[TimeZoneDisk]) -> list[TimeZoneDisk]:
     """Check the per-family invariant: every zone has the same boundary
     edge-label word up to rotation, so zones glue label-consistently."""
-    words = {min(z.boundary_word[i:] + z.boundary_word[:i]
-                 for i in range(len(z.boundary_word))) for z in zones}
+    words = {min(w[i:] + w[:i] for i in range(len(w)))
+             for w in [z.boundary_word for z in zones]}
     if len(words) != 1:
         raise DomainError(
             f"zone boundary words differ: {sorted(words)}")

@@ -515,7 +515,7 @@ def realize(m: TilingMap, q: SphericalQuad,
     if not report.passed:
         raise GeometryError(f"map fails verification: {report.failures}")
     for sig in avc:  # in the order of the vertices
-        total = sum(e * ang for e, ang in zip(sig.exponents, q.angles))
+        total = sum(e * ang for e, ang in zip(sig, q.angles))
         if abs(total - 2.0 * math.pi) > TOL_ALGEBRAIC:
             raise GeometryError(
                 f"vertex {sig} angle sum {total!r} != 2*pi: quad is "

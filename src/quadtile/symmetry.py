@@ -258,9 +258,7 @@ def classify(m: TilingMap) -> SymmetryClass:
                       if mu.compose(principal) == principal.compose(mu)]
 
     if np_ == 2 * n and n >= 2:
-        if not reversing:
-            name = label = f"D_{n}"
-        elif horizontal:
+        if horizontal:
             name = label = f"D_{n}h"
         elif mirrors:
             name = f"D_{n}d"

@@ -13,7 +13,6 @@ them once into the vertex table, and the tiles once into a spanning tree.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -71,21 +70,18 @@ class EulerError(TilingError):
 
 @dataclass(frozen=True)
 class VertexCycle:
-    """A vertex as its sigma orbit: ``darts`` are the slots whose ccw dart
-    starts here, each followed by the next dart ccw around the vertex, and
-    ``corners`` the corner (0=A..3=D) of each dart's tile at the vertex."""
+    """A vertex as its sigma orbit, as ``build`` walks it: ``darts`` are the
+    slots whose ccw dart starts here, each followed by the next dart ccw
+    around the vertex, ``corners`` the corner (0=A..3=D) of each dart's tile
+    at the vertex, and ``signature`` the count of each corner."""
 
     darts: tuple[int, ...]
     corners: tuple[int, ...]
+    signature: VertexSignature
 
     @property
     def degree(self) -> int:
         return len(self.darts)
-
-    @functools.cached_property
-    def signature(self) -> VertexSignature:
-        c = self.corners
-        return VertexSignature(c.count(0), c.count(1), c.count(2), c.count(3))
 
 
 @dataclass(frozen=True)
@@ -342,8 +338,9 @@ def build(
             darts.append(s)
             s = _face_next(orient_bits, glue[s])
         if darts:
-            vertices.append(VertexCycle(tuple(darts), tuple(
-                (d % 4 + orient_bits[d // 4]) % 4 for d in darts)))
+            c = tuple((d % 4 + orient_bits[d // 4]) % 4 for d in darts)
+            vertices.append(VertexCycle(tuple(darts), c, VertexSignature(
+                c.count(0), c.count(1), c.count(2), c.count(3))))
 
     v = len(vertices)
     if v - 2 * f + f != 2:
@@ -433,7 +430,7 @@ def verify(
 
     sig_total = [0, 0, 0, 0]
     for v, mult in avc.items():
-        for i, e in enumerate(v.exponents):
+        for i, e in enumerate(v):
             sig_total[i] += mult * e
     report.add("#alpha = #beta = #gamma = #delta = f",
                all(x == m.f for x in sig_total), f"totals {sig_total}")

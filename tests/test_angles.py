@@ -62,6 +62,32 @@ class TestVertexSignature:
         assert sig("bgd").degree == 3
         assert sig("d6").degree == 6
 
+    @pytest.mark.parametrize("text", ["a0", "b0d0"])
+    def test_parse_degree_zero(self, text):
+        # [TRIVIAL] no vertex has degree 0
+        with pytest.raises(ValueError):
+            sig(text)
+
+    def test_tuple_behaviour(self):
+        # [TRIVIAL] repr, str, hash and order are those recorded while the
+        # signature was a dataclass hashing its exponent tuple; it now also
+        # equals that plain tuple
+        sigs = [VertexSignature(1, 2, 0, 0), VertexSignature(0, 0, 0, 0),
+                VertexSignature(3, 0, 0, 0), VertexSignature(0, 1, 1, 1),
+                VertexSignature(2, 0, 0, 1), VertexSignature(0, 2, 2, 2)]
+        assert [repr(s) for s in sigs[:2]] == [
+            "VertexSignature(a=1, b=2, c=0, d=0)",
+            "VertexSignature(a=0, b=0, c=0, d=0)"]
+        assert [str(s) for s in sigs] == [
+            "αβ²", "1", "α³", "βγδ", "α²δ", "β²γ²δ²"]
+        assert [hash(s) for s in sigs] == [
+            -8946484840382887566, -3226225171056353554, 7571275679603839956,
+            -7458687224047931163, 8969667005784709223, 2821316584105959858]
+        assert [str(s) for s in sorted(sigs)] == [
+            "1", "βγδ", "β²γ²δ²", "αβ²", "α²δ", "α³"]
+        assert VertexSignature(1, 2, 0, 0) == (1, 2, 0, 0)
+        assert sigs[0].exponents == (1, 2, 0, 0)
+
 
 class TestResiduals:
     def test_prism_angles(self):

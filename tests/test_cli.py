@@ -126,6 +126,12 @@ class TestVerify:
                            "--expect", "βγδ,α¹²")
         assert code == 1 and "FAIL" in out
 
+    def test_degree_zero_expectation(self, capsys, pq24_file):
+        # [TRIVIAL] a signature of degree 0 is malformed input, not an AVC
+        # the map fails to match
+        code, _, err = run(capsys, "verify", str(pq24_file), "--expect", "a0")
+        assert code == 2 and err.startswith("error:")
+
     def test_corrupt_json(self, capsys, tmp_path):
         # [TRIVIAL]
         bad = tmp_path / "bad.json"

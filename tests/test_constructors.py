@@ -9,6 +9,8 @@ from quadtile.angles import VertexSignature
 from quadtile.constructors import (
     DomainError,
     FlipInvalidError,
+    TimeZoneDisk,
+    _matched_zones,
     decompose_time_zones,
     earth_map,
     family_alphadelta,
@@ -188,6 +190,24 @@ class TestGoldenDecompose:
         # subdivision never had one
         with pytest.raises(DomainError):
             decompose_time_zones(make(arg))
+
+    def test_boundary_word_read_once_per_zone(self, monkeypatch):
+        # [TRIVIAL] matching the zones builds each boundary word once, not
+        # once per rotation
+        reads = []
+        word = TimeZoneDisk.boundary_word.fget
+        monkeypatch.setattr(TimeZoneDisk, "boundary_word", property(
+            lambda z: reads.append(z) or word(z)))
+        zones = decompose_time_zones(pq_earth_map(40))
+        assert sorted(map(id, reads)) == sorted(map(id, zones))
+
+    def test_mismatched_words(self):
+        # [TRIVIAL] rotations of "ab" never equal "aa"
+        zones = [TimeZoneDisk((0,), ((0, "AB"), (0, "BC")), False),
+                 TimeZoneDisk((1,), ((1, "AB"), (1, "AB")), False)]
+        with pytest.raises(DomainError) as e:
+            _matched_zones(zones)
+        assert str(e.value) == "zone boundary words differ: ['aa', 'ab']"
 
 
 #: sha256 of repr([(map, [(half_zones, start, count, outcome), ...])]) for

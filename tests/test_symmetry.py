@@ -13,12 +13,9 @@ from test_canonical import GOLDEN, relabel
 
 import quadtile
 from quadtile.constructors import (
-    DomainError,
-    FlipInvalidError,
     earth_map,
     family_alphadelta,
     family_beta2delta,
-    flip_segment,
     pq_earth_map,
     quad_subdivide,
 )
@@ -211,37 +208,11 @@ class TestGoldenTraces:
         assert _digest(got) == TRACE_GOLDEN[name, arg]
 
     @pytest.mark.parametrize("f", [24, 40])
-    def test_flip_segment_traces(self, f):
+    def test_flip_segment_traces(self, f, flip_outputs):
         # [DERIVED] the flip modifications, chiral maps included
-        m = pq_earth_map(f)
-        lines = []
-        for half in (False, True):
-            k = f // 4 if half else f // 8
-            for start in range(k):
-                for count in range(1, k + 1):
-                    try:
-                        flipped = flip_segment(m, start, count,
-                                               half_zones=half)
-                    except (FlipInvalidError, DomainError):
-                        continue
-                    lines.append((half, start, count,
-                                  vertex_bisecting_cycles(flipped)))
+        lines = [(half, start, count, vertex_bisecting_cycles(flipped))
+                 for half, start, count, flipped in flip_outputs[f]]
         assert _digest(lines) == FLIP_TRACE_GOLDEN[f]
-
-
-def _flip_outputs(f):
-    """(half_zones, start, count, map) for every admissible flip_segment
-    output of pq_earth_map(f), over whole and half zones."""
-    m = pq_earth_map(f)
-    for half in (False, True):
-        k = f // 4 if half else f // 8
-        for start in range(k):
-            for count in range(1, k + 1):
-                try:
-                    flipped = flip_segment(m, start, count, half_zones=half)
-                except (FlipInvalidError, DomainError):
-                    continue
-                yield half, start, count, flipped
 
 
 def _matchings(slots):
@@ -337,9 +308,9 @@ class TestReferenceTraces:
             assert vertex_bisecting_cycles(x) == _reference_traces(x)
 
     @pytest.mark.parametrize("f", [24, 40])
-    def test_flip_outputs(self, f):
+    def test_flip_outputs(self, f, flip_outputs):
         # [DERIVED] the flip modifications, chiral maps included
-        for *_, flipped in _flip_outputs(f):
+        for *_, flipped in flip_outputs[f]:
             assert (vertex_bisecting_cycles(flipped)
                     == _reference_traces(flipped))
 
@@ -404,22 +375,22 @@ class TestGoldenClassify:
         assert _digest(got) == CLASSIFY_GOLDEN[name, arg]
 
     @pytest.mark.parametrize("f", list(FLIP_CLASSIFY_GOLDEN))
-    def test_flip_segment_classify(self, f):
+    def test_flip_segment_classify(self, f, flip_outputs):
         # [DERIVED] the flip modifications, 33 at f = 24 and 55 at f = 40
         lines = [(half, start, count, repr(classify(flipped)))
-                 for half, start, count, flipped in _flip_outputs(f)]
+                 for half, start, count, flipped in flip_outputs[f]]
         assert _digest(lines) == FLIP_CLASSIFY_GOLDEN[f]
 
 
 @pytest.fixture(scope="module")
-def golden_groups():
+def golden_groups(flip_outputs):
     """(map, automorphisms) for the GOLDEN maps, relabel(m, 3) and the
     mirror image of each, and the flip_segment outputs of pq24 and pq40."""
     maps = []
     for name, arg in GOLDEN:
         m = getattr(quadtile, name)(arg)
         maps += [m, relabel(m, 3), _mirror(m)]
-    maps += [flipped for f in (24, 40) for *_, flipped in _flip_outputs(f)]
+    maps += [flipped for f in (24, 40) for *_, flipped in flip_outputs[f]]
     return [(m, automorphisms(m)) for m in maps]
 
 

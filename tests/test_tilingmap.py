@@ -9,10 +9,7 @@ import pytest
 import quadtile
 from quadtile.angles import VertexSignature
 from quadtile.constructors import (
-    DomainError,
-    FlipInvalidError,
     earth_map,
-    flip_segment,
     pq_earth_map,
     quad_subdivide,
 )
@@ -243,21 +240,10 @@ class TestGoldenVertexTable:
         assert balance_pair_counts(m) == counts
         assert _digest(cycles(m)) == digest
 
-    def test_flip_balance(self):
+    def test_flip_balance(self, flip_outputs):
         # [DERIVED] the flip modifications of pq_earth_map(24)
-        m = pq_earth_map(24)
-        lines = []
-        for half in (False, True):
-            k = 6 if half else 3
-            for start in range(k):
-                for count in range(1, k + 1):
-                    try:
-                        flipped = flip_segment(m, start, count,
-                                               half_zones=half)
-                    except (FlipInvalidError, DomainError):
-                        continue
-                    lines.append((half, start, count,
-                                  balance_pair_counts(flipped)))
+        lines = [(half, start, count, balance_pair_counts(flipped))
+                 for half, start, count, flipped in flip_outputs[24]]
         assert len(lines) == 33
         assert _digest(lines) == FLIP_BALANCE_GOLDEN
 
