@@ -3,8 +3,8 @@ exact angle algebra, combinatorial maps, constructors for every tiling
 family, numeric spherical realization, and symmetry classification.
 
 ``import quadtile`` loads no submodule: each public name (and each
-submodule) is imported the first time it is used, so only ``realize`` and
-the rest of ``quadtile.geometry`` pull in NumPy.
+submodule) is imported the first time it is used.  The package needs no
+third-party module at run time.
 """
 
 import importlib

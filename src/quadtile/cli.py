@@ -2,13 +2,14 @@
 
 All output is deterministic (sorted collections, floats printed with 17
 significant digits).  Exit codes: 0 success, 1 verification or realization
-failure, 2 usage/parse/domain error.  The environment variable
-``QUADTILE_TOL_REALIZE`` overrides the realization closure tolerance
-(default 1e-6); it must be a finite number > 0, or ``realize`` exits 2.
+failure, 2 usage/parse/domain error or a file that cannot be read or
+written.  The environment variable ``QUADTILE_TOL_REALIZE`` overrides the
+realization closure tolerance (default 1e-6); it must be a finite number
+> 0, or ``realize`` exits 2.
 
 Each subcommand imports the library layer it runs when it is called, so
 importing this module loads no ``quadtile`` submodule, and only
-``realize`` loads NumPy (through ``quadtile.geometry``).
+``realize`` loads ``quadtile.geometry``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ def _load_map(path: str):
         return TilingMap.from_json(fh.read())
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to the file at ``path`` and say so on stdout."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -108,9 +116,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     print(f"f={m.f}  AVC: {format_avc(extract_avc(m))}")
     text = m.to_json()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.output}")
+        try:
+            _write(args.output, text + "\n")
+        except OSError as exc:
+            return _fail(str(exc), 2)
     else:
         print(text)
     return 0
@@ -200,15 +209,15 @@ def cmd_realize(args: argparse.Namespace) -> int:
     print(f"holonomy residual: {_FMT(geometry.holonomy_residual(q))}")
     print(f"closure gap: {_FMT(real.max_mismatch)}")
     print(f"area sum: {_FMT(real.area_sum)}  (4*pi = {_FMT(4 * math.pi)})")
-    if args.obj:
-        with open(args.obj, "w", encoding="utf-8") as fh:
-            fh.write(geometry.export_obj(real, edge_samples=args.edge_samples))
-        print(f"wrote {args.obj}")
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(geometry.export_svg(
+    try:
+        if args.obj:
+            _write(args.obj,
+                   geometry.export_obj(real, edge_samples=args.edge_samples))
+        if args.svg:
+            _write(args.svg, geometry.export_svg(
                 real, edge_samples=max(args.edge_samples, 1)))
-        print(f"wrote {args.svg}")
+    except OSError as exc:
+        return _fail(str(exc), 2)
     return 0
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Iterator
 
 from .angles import ANGLE_NAMES
 from .combinatorics import CheckReport
 from .tilingmap import EDGE_LABELS, TilingMap, extract_avc, verify
+
+#: a point or direction in three-space
+Vec = tuple[float, float, float]
 
 __all__ = [
     "GeometryError",
@@ -26,8 +27,6 @@ __all__ = [
     "DegeneracyWarning",
     "SphericalQuad",
     "Realization",
-    "Y",
-    "Z",
     "holonomy_residual",
     "trig_residuals",
     "solve_edges",
@@ -125,30 +124,25 @@ def area(q: SphericalQuad) -> float:
 # Holonomy and the trigonometric edge equations
 # ---------------------------------------------------------------------------
 
-def Y(x: float) -> np.ndarray:
-    """Rotation by x about the y-axis (the printed Y-block)."""
-    c, s = math.cos(x), math.sin(x)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def Z(x: float) -> np.ndarray:
-    """Rotation by x about the z-axis (the printed Z-block)."""
-    c, s = math.cos(x), math.sin(x)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def holonomy_residual(q: SphericalQuad) -> float:
     """Max-abs entry of the boundary-walk rotation product minus identity.
 
-    The walk alternates edge translations Y(length) with corner turns
-    Z(pi - angle); the product is the identity exactly when the quadrilateral
-    closes up on the sphere.
+    The walk alternates edge translations Y(length), rotations about the
+    y-axis, with corner turns Z(pi - angle), rotations about the z-axis;
+    the product is the identity exactly when the quadrilateral closes up on
+    the sphere.  It is built up by right multiplication, which mixes only
+    columns 0 and 2 for Y and columns 1 and 0 for Z.
     """
-    M = (Y(q.b) @ Z(math.pi - q.beta)
-         @ Y(q.a) @ Z(math.pi - q.alpha)
-         @ Y(q.a) @ Z(math.pi - q.delta)
-         @ Y(q.c) @ Z(math.pi - q.gamma))
-    return float(np.abs(M - np.eye(3)).max())
+    M = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for length, angle in ((q.b, q.beta), (q.a, q.alpha), (q.a, q.delta),
+                          (q.c, q.gamma)):
+        for i, j, x in ((0, 2, length), (1, 0, math.pi - angle)):
+            c, s = math.cos(x), math.sin(x)
+            for row in M:
+                u, w = row[i], row[j]
+                row[i], row[j] = c * u - s * w, s * u + c * w
+    return max(abs(v - (i == j))
+               for i, row in enumerate(M) for j, v in enumerate(row))
 
 
 def _trig_coefficients(
@@ -455,47 +449,53 @@ class Realization:
 
     map: TilingMap
     quad: SphericalQuad
-    coords: tuple[tuple[float, float, float], ...]
+    coords: tuple[Vec, ...]
     tile_corners: tuple[tuple[int, int, int, int], ...]
     max_mismatch: float
     area_sum: float
 
-    def corner_point(self, tile: int, corner: int) -> np.ndarray:
-        return np.array(self.coords[self.tile_corners[tile][corner]])
+    def corner_point(self, tile: int, corner: int) -> Vec:
+        return self.coords[self.tile_corners[tile][corner]]
 
 
-def _boundary_polygon(q: SphericalQuad, mirror: bool) -> list[np.ndarray]:
+def _dot(x: Vec, y: Vec) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _cross(x: Vec, y: Vec) -> Vec:
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    return (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
+
+
+def _comb(s: float, x: Vec, t: float, y: Vec) -> Vec:
+    """The linear combination s*x + t*y."""
+    return (s * x[0] + t * y[0], s * x[1] + t * y[1], s * x[2] + t * y[2])
+
+
+def _boundary_polygon(q: SphericalQuad, mirror: bool) -> list[Vec]:
     """Corner coordinates A, B, C, D of the canonical tile: A at the north
     pole, edge AB along the prime meridian, interior traversal flipped for
     the mirror image."""
     sign = -1.0 if mirror else 1.0
-    p = np.array([0.0, 0.0, 1.0])
-    t = np.array([1.0, 0.0, 0.0])
+    p, t = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
     pts = [p]
-    for length, angle in zip(q.edges[:3],
-                             (q.beta, q.gamma, q.delta)):
-        p, t = (p * math.cos(length) + t * math.sin(length),
-                -p * math.sin(length) + t * math.cos(length))
+    for length, angle in zip(q.edges[:3], (q.beta, q.gamma, q.delta)):
+        c, s = math.cos(length), math.sin(length)
+        p, t = _comb(c, p, s, t), _comb(-s, p, c, t)
         pts.append(p)
         turn = sign * (math.pi - angle)
-        t = t * math.cos(turn) + np.array(_cross(p, t)) * math.sin(turn)
+        t = _comb(math.cos(turn), t, math.sin(turn), _cross(p, t))
     return pts
 
 
-def _cross(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    """a x b for 3-vectors, in the operand order of ``np.cross``."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
-
-
-def _triad(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Orthonormal frame with columns u1, the unit part of u2 normal to u1,
-    and their cross product."""
-    v = u2 - np.dot(u1, u2) * u1
-    v = (v / math.sqrt(np.dot(v, v))).tolist()
-    u = u1.tolist()
-    return np.array(list(zip(u, v, _cross(u, v))))
+def _triad(u1: Vec, u2: Vec) -> tuple[Vec, Vec, Vec]:
+    """Orthonormal frame: u1, the unit part of u2 normal to u1, and their
+    cross product."""
+    v = _comb(1.0, u2, -_dot(u1, u2), u1)
+    n = math.sqrt(_dot(v, v))
+    v = (v[0] / n, v[1] / n, v[2] / n)
+    return u1, v, _cross(u1, v)
 
 
 def realize(m: TilingMap, q: SphericalQuad,
@@ -508,8 +508,10 @@ def realize(m: TilingMap, q: SphericalQuad,
     Every vertex of the map must satisfy its angle sum within 1e-9; all
     coordinates assigned to a vertex must agree within ``tol`` (default
     1e-6), and the total spherical area of the tiles must be 4pi within
-    ``tol``.
+    ``tol``.  A ``tol`` that is not a finite number > 0 raises ValueError.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     avc = extract_avc(m)
     report = verify(m, avc)
     if not report.passed:
@@ -521,39 +523,43 @@ def realize(m: TilingMap, q: SphericalQuad,
                 f"vertex {sig} angle sum {total!r} != 2*pi: quad is "
                 f"incompatible with this map's AVC")
 
-    # corners of the canonical tile and its mirror image, and the
-    # transposed frame of each of their edges, by (orientation, corner)
+    # corners of the canonical tile and its mirror image, and their
+    # coordinates in the frame of each edge, by (orientation, corner)
     canonical = (_boundary_polygon(q, mirror=False),
                  _boundary_polygon(q, mirror=True))
-    frames = {(o, c): _triad(pts[c], pts[(c + 1) % 4]).T
-              for o, pts in enumerate(canonical) for c in range(4)}
+    local = {}
+    for o, pts in enumerate(canonical):
+        for c in range(4):
+            frame = _triad(pts[c], pts[(c + 1) % 4])
+            local[o, c] = [tuple(_dot(p, e) for e in frame) for p in pts]
     tile_corners = tuple(
         tuple(m.vertex_of[4 * t + (c - o) % 4] for c in range(4))
         for t, o in enumerate(m.orient))
 
-    coords: dict[int, np.ndarray] = {}
-    world: list[list[np.ndarray] | None] = [None] * m.f
+    coords: dict[int, Vec] = {}
+    world: list[list[Vec]] = [[]] * m.f
     worst, worst_vertex = 0.0, 0
 
-    def place(t: int, corners: list[np.ndarray]) -> None:
+    def place(t: int, corners: list[Vec]) -> None:
         nonlocal worst, worst_vertex
         world[t] = corners
         for v, p in zip(tile_corners[t], corners):
             if v in coords:
-                diff = coords[v] - p
-                gap = math.sqrt(diff @ diff)
+                gap = math.dist(coords[v], p)
                 if gap > worst:
                     worst, worst_vertex = gap, v
             else:
                 coords[v] = p
 
-    place(0, list(canonical[m.orient[0]]))
+    place(0, canonical[m.orient[0]])
     for dart in m.tree:
         t2, c1 = divmod(dart, 4)
         w1 = coords[tile_corners[t2][c1]]
         w2 = coords[tile_corners[t2][(c1 + 1) % 4]]
-        R = _triad(w1, w2) @ frames[m.orient[t2], c1]
-        place(t2, [R @ p for p in canonical[m.orient[t2]]])
+        (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = _triad(w1, w2)
+        place(t2, [(a * x0 + b * y0 + c * z0, a * x1 + b * y1 + c * z1,
+                    a * x2 + b * y2 + c * z2)
+                   for a, b, c in local[m.orient[t2], c1]])
 
     if worst > tol:
         raise ClosureError(
@@ -564,24 +570,25 @@ def realize(m: TilingMap, q: SphericalQuad,
     # towards the next corner to the tangent towards the previous one,
     # counterclockwise about the outward normal (clockwise on mirrored
     # tiles), in [0, 2pi) so that a reflex corner counts as such
-    pts = np.array(world)  # (tile, corner, xyz)
-    prev, nxt = np.roll(pts, 1, axis=1), np.roll(pts, -1, axis=1)
-    t_prev = prev - (pts * prev).sum(-1, keepdims=True) * pts
-    t_next = nxt - (pts * nxt).sum(-1, keepdims=True) * pts
-    sign = 1.0 - 2.0 * np.array(m.orient, dtype=float)[:, None]
-    angles = np.arctan2(sign * (pts * np.cross(t_next, t_prev)).sum(-1),
-                        (t_next * t_prev).sum(-1)) % (2.0 * math.pi)
-    total_area = float(angles.sum()) - 2.0 * math.pi * m.f
+    angles = []
+    for corners, o in zip(world, m.orient):
+        sign = -1.0 if o else 1.0
+        for k, p in enumerate(corners):
+            prev, nxt = corners[k - 1], corners[(k + 1) % 4]
+            t_prev = _comb(1.0, prev, -_dot(p, prev), p)
+            t_next = _comb(1.0, nxt, -_dot(p, nxt), p)
+            angles.append(math.atan2(sign * _dot(p, _cross(t_next, t_prev)),
+                                     _dot(t_next, t_prev)) % (2.0 * math.pi))
+    total_area = math.fsum(angles) - 2.0 * math.pi * m.f
     if abs(total_area - 4.0 * math.pi) > tol:
         raise ClosureError(
             f"tile areas sum to {total_area!r}, not 4*pi", -1,
             abs(total_area - 4.0 * math.pi))
 
-    nv = len(m.vertices)
     return Realization(
         map=m,
         quad=q,
-        coords=tuple(tuple(coords[v].tolist()) for v in range(nv)),
+        coords=tuple(coords[v] for v in range(len(m.vertices))),
         tile_corners=tile_corners,
         max_mismatch=worst,
         area_sum=total_area,
@@ -592,47 +599,29 @@ def realize(m: TilingMap, q: SphericalQuad,
 # Export
 # ---------------------------------------------------------------------------
 
-#: edges per pass of ``_edge_polylines``; keeps its arrays near 100 kB
-_EDGE_CHUNK = 256
-
-
 def _edge_polylines(
     real: Realization, samples: int
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Geodesic polylines of the edges in ``map.edges()`` order, in chunks:
-    the first slot of each edge and an (edges, samples + 1, 3) array.  For
-    the edge at slot s of tile t this is the slerp from corner
-    ``tile_corners[t][s % 4]`` to the next corner, each sample renormalised;
-    an edge shorter than 1e-12 is that corner repeated.
-
-    Every number is rounded as the per-sample loop this replaced rounded
-    it: dot products go through matmul, which rounds like ``np.dot``, and
-    each edge's angle through ``math.acos``, which ``np.arccos`` does not
-    match.  ``np.sin`` matches ``math.sin`` on the x86-64 hosts tried; the
-    golden digests in ``tests/test_geometry.py`` catch a platform where it
-    does not.  Those digests also pin the BLAS kernel: the batched matmul
-    rounds each 3-term dot product as a fused multiply-add there, and a
-    kernel that sums in another order moves the last bit of the output.
-    """
-    slots = [s for s, _ in real.map.edges()]
-    corners = np.array(real.tile_corners, dtype=np.intp).reshape(-1, 4)
-    coords = np.array(real.coords)
-    tile, pos = divmod(np.array(slots, dtype=np.intp), 4)
-    p = coords[corners[tile, pos]]
-    r = coords[corners[tile, (pos + 1) % 4]]
-    cos = (p[:, None, :] @ r[:, :, None])[:, 0, 0]
-    ang = np.array([math.acos(min(1.0, max(-1.0, x))) for x in cos.tolist()])
-    frac = np.array([i / samples for i in range(samples + 1)])[:, None]
-    for lo in range(0, len(slots), _EDGE_CHUNK):
-        hi = lo + _EDGE_CHUNK
-        a, p0, p1 = ang[lo:hi, None, None], p[lo:hi, None], r[lo:hi, None]
-        flat = a[:, 0, 0] < 1e-12
-        sin = np.sin(a)
-        sin[flat] = 1.0
-        pts = (np.sin((1 - frac) * a) * p0 + np.sin(frac * a) * p1) / sin
-        pts /= np.sqrt(pts[..., None, :] @ pts[..., :, None])[..., 0]
-        pts[flat] = p0[flat]
-        yield slots[lo:hi], pts
+) -> Iterator[tuple[int, list[Vec]]]:
+    """Geodesic polylines of the edges in ``map.edges()`` order: the first
+    slot s of each edge, and the ``samples + 1`` points of the slerp from
+    corner ``tile_corners[t][s % 4]`` of its tile t to the next corner, each
+    renormalised.  Every edge of a tile at slot position k has length
+    ``quad.edges[k]``, so the slerp weights are computed once per position
+    rather than once per edge."""
+    weights = [[(math.sin((1 - i / samples) * ell) / math.sin(ell),
+                 math.sin(i / samples * ell) / math.sin(ell))
+                for i in range(samples + 1)] for ell in real.quad.edges]
+    coords, corners = real.coords, real.tile_corners
+    for s, _ in real.map.edges():
+        t, k = divmod(s, 4)
+        p0, p1, p2 = coords[corners[t][k]]
+        r0, r1, r2 = coords[corners[t][(k + 1) % 4]]
+        pts = []
+        for u, w in weights[k]:
+            x, y, z = u * p0 + w * r0, u * p1 + w * r1, u * p2 + w * r2
+            n = math.hypot(x, y, z)
+            pts.append((x / n, y / n, z / n))
+        yield s, pts
 
 
 def export_obj(real: Realization, edge_samples: int = 0) -> str:
@@ -650,11 +639,10 @@ def export_obj(real: Realization, edge_samples: int = 0) -> str:
     if edge_samples > 0:
         idx = len(real.coords) + 1
         for _, pts in _edge_polylines(real, edge_samples):
-            for row in pts.tolist():
-                lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in row]
-                lines.append("l " + " ".join(map(str, range(idx,
-                                                            idx + len(row)))))
-                idx += len(row)
+            lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in pts]
+            lines.append("l " + " ".join(map(str, range(idx,
+                                                        idx + len(pts)))))
+            idx += len(pts)
     lines.append("")  # the final newline, without copying the text
     return "\n".join(lines)
 
@@ -681,17 +669,17 @@ def export_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{size}" viewBox="0 0 {size} {size}">\n'
         f"<style>{SVG_STYLE}</style>"]
-    for slots, pts in _edge_polylines(real, edge_samples):
-        # stereographic projection, kept finite near the south pole
-        denom = 1.0 + np.maximum(pts[..., 2], -0.999999)
-        xs = (half + scale * pts[..., 0] / denom).tolist()
-        ys = (half - scale * pts[..., 1] / denom).tolist()
-        for s1, x, y in zip(slots, xs, ys):
-            label = EDGE_LABELS[s1 % 4]
-            d = [f"M {x[0]:.17g} {y[0]:.17g}"]
-            d += [f" L {u:.17g} {v:.17g}" for u, v in zip(x[1:], y[1:])]
-            parts += [f'\n<path class="edge-{label}" d="', *d, '"/>']
-            if label == "b":
-                parts += ['\n<path class="edge-b-core" d="', *d, '"/>']
+    for s, pts in _edge_polylines(real, edge_samples):
+        d, cmd = [], "M"
+        for x, y, z in pts:
+            # stereographic projection, kept finite near the south pole
+            w = 1.0 + max(z, -0.999999)
+            u, v = half + scale * x / w, half - scale * y / w
+            d.append(f"{cmd} {u:.17g} {v:.17g}")
+            cmd = " L"
+        label = EDGE_LABELS[s % 4]
+        parts += [f'\n<path class="edge-{label}" d="', *d, '"/>']
+        if label == "b":
+            parts += ['\n<path class="edge-b-core" d="', *d, '"/>']
     parts.append("\n</svg>\n")
     return "".join(parts)

@@ -1,12 +1,15 @@
 """Numeric spherical geometry: closed forms, solver, lune, realization."""
 
+import dataclasses
+import functools
 import hashlib
 import math
 import random
 import warnings
 
-import numpy as np
 import pytest
+from hypothesis import given, reject, seed, settings
+from hypothesis import strategies as st
 from test_canonical import relabel
 
 from quadtile import geometry
@@ -42,6 +45,10 @@ S5 = math.sqrt(5.0)
 #: an edge solution with a reflex gamma that fits earth_map(8)'s AVC
 REFLEX_QUAD = solve_edges(math.pi / 2, math.pi / 20, 3 * math.pi / 2,
                           9 * math.pi / 20)[0]
+
+#: the f=24 family quad with edge a lengthened by 0.05: it cannot close up
+PERTURBED_QUAD = dataclasses.replace(closed_form_family(24),
+                                     a=closed_form_family(24).a + 0.05)
 
 
 class TestClosedForms:
@@ -289,15 +296,21 @@ class TestRealize:
         # [TRIVIAL] all realized vertices on the unit sphere
         real = realize(pq_earth_map(16), closed_form_family(16))
         for p in real.coords:
-            assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
+            assert math.hypot(*p) == pytest.approx(1.0, abs=1e-12)
 
     def test_perturbed_quad_fails(self):
         # [TRIVIAL] a wrong quad cannot close up
-        q = closed_form_family(24)
-        bad = SphericalQuad(q.a + 0.05, q.b, q.c,
-                            q.alpha, q.beta, q.gamma, q.delta)
         with pytest.raises((ClosureError, GeometryError)):
-            realize(pq_earth_map(24), bad)
+            realize(pq_earth_map(24), PERTURBED_QUAD)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_domain(self, tol):
+        # [TRIVIAL] a tolerance that is not a finite number > 0 is refused
+        # before any tile is placed: NaN and inf would accept the perturbed
+        # quad (gap 0.511), and -1 fail a valid one
+        with pytest.raises(ValueError, match="tol must be a finite") as info:
+            realize(pq_earth_map(24), PERTURBED_QUAD, tol=tol)
+        assert info.type is ValueError
 
     def test_reflex_tile(self):
         # [DERIVED] a tile with one reflex angle (gamma = 3pi/2) realizes
@@ -344,6 +357,159 @@ class TestExport:
         assert export_obj(real) == export_obj(real)
 
 
+def _dot(x, y):
+    return sum(u * v for u, v in zip(x, y))
+
+
+def _arc(x, y):
+    """Angle between unit vectors x and y from their chord, which unlike
+    acos of the dot product keeps its precision for short arcs."""
+    return 2.0 * math.asin(math.dist(x, y) / 2.0)
+
+
+def _det(p, r, x):
+    """Determinant of the 3x3 matrix with rows p, r, x."""
+    return (p[0] * (r[1] * x[2] - r[2] * x[1])
+            - p[1] * (r[0] * x[2] - r[2] * x[0])
+            + p[2] * (r[0] * x[1] - r[1] * x[0]))
+
+
+#: realizations whose edges are checked against their labels' lengths
+REALIZED = {
+    "pq256": lambda: realize(pq_earth_map(256), closed_form_family(256)),
+    "pq1024": lambda: realize(pq_earth_map(1024), closed_form_family(1024)),
+    "cube-0.3pi": lambda: realize(
+        quad_subdivide("cube"), closed_form_cube_subdivision(0.3 * math.pi)),
+    "cube-0.6pi": lambda: realize(
+        quad_subdivide("cube"), closed_form_cube_subdivision(0.6 * math.pi)),
+}
+
+
+@pytest.fixture(scope="module", params=list(REALIZED))
+def realized(request):
+    return REALIZED[request.param]()
+
+
+def _edge_ends(real):
+    """Per edge of ``map.edges()``: its slot position and its two corners."""
+    for s, _ in real.map.edges():
+        t, k = divmod(s, 4)
+        yield k, real.corner_point(t, k), real.corner_point(t, (k + 1) % 4)
+
+
+class TestEdgeGeometry:
+    """Facts about the realized edges that hold whatever the rounding."""
+
+    def test_arcs_are_label_lengths(self, realized):
+        # [DERIVED] every edge's arc is its label's length in the quad; a
+        # vertex placed by several tiles sits within max_mismatch of each
+        # (1.5e-12 at f=1024), so each end may add that much
+        bound = 1e-12 + 2 * realized.max_mismatch
+        for k, p, r in _edge_ends(realized):
+            arc = math.acos(min(1.0, max(-1.0, _dot(p, r))))
+            assert abs(arc - realized.quad.edges[k]) < bound
+
+    def test_obj_polylines(self, realized):
+        # [DERIVED] each OBJ polyline runs from its edge's first corner to
+        # the next one in equal steps, on the unit sphere (norm within
+        # k * 4e-16, k = 1) and in the plane of the two corners
+        samples = 16
+        lines = export_obj(realized, edge_samples=samples).splitlines()
+        verts = [tuple(map(float, ln.split()[1:]))
+                 for ln in lines if ln.startswith("v ")]
+        polylines = [[verts[int(i) - 1] for i in ln.split()[1:]]
+                     for ln in lines if ln.startswith("l ")]
+        ends = list(_edge_ends(realized))
+        assert len(polylines) == len(ends)
+        for (_, p, r), line in zip(ends, polylines):
+            assert len(line) == samples + 1
+            for got, want in ((line[0], p), (line[-1], r)):
+                assert max(abs(u - v) for u, v in zip(got, want)) < 1e-15
+            for x in line:
+                assert abs(math.hypot(*x) - 1.0) < 4e-16
+                assert abs(_det(p, r, x)) < 1e-12
+            step = _arc(p, r) / samples
+            for x, y in zip(line, line[1:]):
+                assert abs(_arc(x, y) - step) < 1e-14
+
+
+def Y(x):
+    """Rotation by x about the y-axis (the printed Y-block), as lists."""
+    c, s = math.cos(x), math.sin(x)
+    return [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]
+
+
+def Z(x):
+    """Rotation by x about the z-axis (the printed Z-block), as lists."""
+    c, s = math.cos(x), math.sin(x)
+    return [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+
+
+def _matmul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
+
+
+def _explicit_holonomy(q):
+    """Max-abs entry of Y(b) Z(pi - beta) Y(a) Z(pi - alpha) Y(a)
+    Z(pi - delta) Y(c) Z(pi - gamma) minus the identity."""
+    blocks = []
+    for length, angle in ((q.b, q.beta), (q.a, q.alpha), (q.a, q.delta),
+                          (q.c, q.gamma)):
+        blocks += [Y(length), Z(math.pi - angle)]
+    M = functools.reduce(_matmul, blocks)
+    return max(abs(M[i][j] - (i == j)) for i in range(3) for j in range(3))
+
+
+_OPEN = st.floats(0.01, 2 * math.pi - 0.01)
+
+
+class TestHolonomy:
+    """holonomy_residual against the explicit product of the blocks, on
+    seeded samples of closed quads and of quads that do not close."""
+
+    @staticmethod
+    def check(q):
+        assert abs(holonomy_residual(q) - _explicit_holonomy(q)) < 1e-15
+
+    @seed(2021)
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.05, 0.95), st.floats(0.2, math.pi - 0.2),
+           st.floats(0.05, 0.95), st.booleans())
+    def test_lune_quads(self, a, alpha, theta, exterior):
+        # [DERIVED] a, alpha, theta as fractions of their allowed ranges
+        a *= math.pi / 2 if exterior else math.pi
+        theta *= math.pi - alpha if exterior else alpha
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            try:
+                q = lune_quad(a, alpha, theta, exterior=exterior)
+            except GeometryError:
+                reject()
+        assert holonomy_residual(q) < 1e-9
+        self.check(q)
+
+    @seed(2021)
+    @settings(max_examples=200, deadline=None)
+    @given(_OPEN, _OPEN, _OPEN, _OPEN)
+    def test_solve_edges_roots(self, alpha, beta, gamma, delta):
+        # [DERIVED] every root of the edge solver, at any four angles
+        try:
+            roots = solve_edges(alpha, beta, gamma, delta)
+        except GeometryError:
+            reject()
+        for q in roots:
+            self.check(q)
+
+    @seed(2021)
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(SphericalQuad, *[_OPEN] * 7))
+    def test_quads_that_do_not_close(self, q):
+        # [DERIVED] residuals of order one, where a wrong column update
+        # would show
+        self.check(q)
+
+
 class TestConvexity:
     def test_family_quad_convex(self):
         # [DERIVED] the f=24 family quad has no reflex angles and meets all
@@ -369,7 +535,8 @@ class TestConvexity:
 
 
 # ---------------------------------------------------------------------------
-# Golden digests, recorded before export and realize were batched
+# Golden digests, recorded when realize and export moved from NumPy to
+# plain Python: they pin IEEE double arithmetic and the platform's libm
 # ---------------------------------------------------------------------------
 
 def _digest(value) -> str:
@@ -412,30 +579,30 @@ def _earth8_grid_outcomes() -> list[tuple]:
 # (16 edge samples) for relabel(pq_earth_map(f), 7) with the family quad
 PQ_GOLDEN = {
     256: (
-        "90a5f799211b1b1b1b2fcbf05a8e5e25783765f5f7c7d4c971ae5256895d0383",
-        "b19271a716a3de1e2c9ca3a58bf13c1183e950cc13d5e8317b116b9b605ae832",
-        "72b5af248999190adc8297ad8d48dbff2e51b0373946a1e60c0b4dd26ecc943d"),
+        "926cd26fd59f585c359ad5896b1ac71e3689275a3f2332cbf81bfc1615cd85f4",
+        "a5923596d33fe589d68fd1be17127cdc784e9fa22d81c1640b5fb7fd28a85400",
+        "2df421512079de95e6700e2003ea83e9d45c69b2f920ceb6e8561bd16b3546ea"),
     1024: (
-        "93278e09a5edee6c2fbcf40864bf75f038b1d31574d90529847ea22f3290e506",
-        "7ed7e9ff74e8d5c967d855f8ddc249e0556a1724239c9d90e77fa0cbc74c3866",
-        "d57d27f4ed11b26248378eaf6c39d82bbf04d8361ef1354d7b9698c2c8c44626"),
+        "bad2fd8a8118866b4361f99a677f65f739d08e9508eeb38af5efe0c6730563e0",
+        "0c8395222009f42ae98faa72eb597da4c72244a3fb7986fac430fc9447c229af",
+        "b37c633bfe26f6a5c6b1243431e4ea59d8ec3fb91155437ffa0b7bdb6d866ecf"),
 }
 
 # delta/pi -> digest of the cube subdivision's Realization fields
 CUBE_GOLDEN = {
-    0.3: "7e5dacec507c2457e85c832c0119cdb3d7fa7027934c340ad3eff1c57aecb409",
-    0.4: "dcc0704bde85af2a4a8f4b01e653498804b6959f3fc294aa4f594739adccde0c",
-    0.6: "104d20f241cc484e06cb3fb623461c0dc21ee88eb79bb85344225346f3f89195",
-    0.7: "68827df7a7f803f61b206a1f5300a3d0f394897f58659e234c902338125c1cc3",
+    0.3: "65793e8a264033dc2344fd722e81c7f3d041fcce6900c1a76dec7176880cffe2",
+    0.4: "eb5d886d1cbd2fa82e1db6634a7b3a2a7aa91c9bdee1a246ac99d2d5b80adf04",
+    0.6: "2cc2e45bfd92934f0a49a2a9c6829e5d7a7135e20039af943991cdf13610e443",
+    0.7: "40915c0fe619b7bc4f5203d9a0eadee7c344050b96f06006cc6877734bc2bb5f",
 }
 
 # digest of the perturbed pq_earth_map(24) realization's ClosureError
 CLOSURE_GOLDEN = (
-    "c9acc9b63187877614c18f4103a91e59996cfa8cb655ab0499305fe1436cf481")
+    "3a8f601ba686ddfe69b92fa9aa9b085a77668cb72f4d28aeaa65d47cb536a12b")
 
 # digest of _earth8_grid_outcomes()
 GRID_GOLDEN = (
-    "d6de81ce7c7c802eead106fc0c98cf329b60ad3d94b02713606096124d1ac137")
+    "8cf9d281e8fb4b64fb5f4a91ce94fe73a8b885941f9b35d98c26693d074d9952")
 
 
 class TestGoldenGeometry:
@@ -462,11 +629,8 @@ class TestGoldenGeometry:
 
     def test_closure_error(self):
         # [DERIVED] the worst vertex and its gap, from the same propagation
-        q = closed_form_family(24)
-        bad = SphericalQuad(q.a + 0.05, q.b, q.c,
-                            q.alpha, q.beta, q.gamma, q.delta)
         with pytest.raises(ClosureError) as info:
-            realize(pq_earth_map(24), bad)
+            realize(pq_earth_map(24), PERTURBED_QUAD)
         exc = info.value
         assert _digest((str(exc), exc.worst_vertex,
                         repr(exc.gap))) == CLOSURE_GOLDEN
