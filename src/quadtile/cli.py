@@ -1,9 +1,12 @@
 """Command-line interface: construct, verify, realize, avc-search, symmetry.
 
 All output is deterministic (sorted collections, floats printed with 17
-significant digits).  Exit codes: 0 success, 1 verification or realization
-failure, 2 usage/parse/domain error or a file that cannot be read or
-written.  The environment variable ``QUADTILE_TOL_REALIZE`` overrides the
+significant digits).  Exit codes: 0 success, 1 verification failure, 2 a
+usage error.  ``main`` turns any ``OSError`` or ``ValueError`` a
+subcommand raises (a file that cannot be read or written, a malformed map,
+a domain or parse error) into exit 2 with one ``error:`` line; ``realize``
+alone maps a degenerate quadrilateral or a failed realization to exit 1.
+The environment variable ``QUADTILE_TOL_REALIZE`` overrides the
 realization closure tolerance (default 1e-6); it must be a finite number
 > 0, or ``realize`` exits 2.
 
@@ -97,29 +100,23 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
     by_f = {"earth-map": earth_map, "pq-emt": pq_earth_map,
             "alphadelta": family_alphadelta, "beta2delta": family_beta2delta}
-    try:
-        if args.family == "subdivision":
-            if args.f is not None:
-                raise DomainError("subdivision does not take --f")
-            if not args.base:
-                raise DomainError("subdivision requires --base")
-            m = quad_subdivide(args.base)
-        elif args.base is not None:
-            raise DomainError(f"{args.family} does not take --base")
-        elif args.f is None:
-            raise DomainError(f"{args.family} requires --f")
-        else:
-            m = by_f[args.family](args.f)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    if args.family == "subdivision":
+        if args.f is not None:
+            raise DomainError("subdivision does not take --f")
+        if not args.base:
+            raise DomainError("subdivision requires --base")
+        m = quad_subdivide(args.base)
+    elif args.base is not None:
+        raise DomainError(f"{args.family} does not take --base")
+    elif args.f is None:
+        raise DomainError(f"{args.family} requires --f")
+    else:
+        m = by_f[args.family](args.f)
 
     print(f"f={m.f}  AVC: {format_avc(extract_avc(m))}")
     text = m.to_json()
-    if args.output:
-        try:
-            _write(args.output, text + "\n")
-        except OSError as exc:
-            return _fail(str(exc), 2)
+    if args.output is not None:
+        _write(args.output, text + "\n")
     else:
         print(text)
     return 0
@@ -128,12 +125,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .tilingmap import extract_avc, format_avc, verify
 
-    try:
-        m = _load_map(args.mapfile)
-        expected = (_parse_avc(args.expect) if args.expect
-                    else list(extract_avc(m)))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), 2)
+    m = _load_map(args.mapfile)
+    expected = (_parse_avc(args.expect) if args.expect is not None
+                else list(extract_avc(m)))
     report = verify(m, expected, f=args.f)
     print(report)
     if report.passed:
@@ -147,12 +141,6 @@ def _resolve_quad(args: argparse.Namespace, m):
     """The quad of ``--quad family``, ``--delta`` or ``--angles``."""
     from . import geometry
 
-    sources = [args.quad == "family", args.delta is not None,
-               args.angles is not None]
-    if sum(sources) != 1:
-        raise ValueError(
-            "choose exactly one quad source: --quad family, --delta, "
-            "or --angles")
     if args.quad == "family":
         return geometry.closed_form_family(m.f)
     if args.delta is not None:
@@ -182,16 +170,11 @@ def cmd_realize(args: argparse.Namespace) -> int:
     if not (math.isfinite(tol) and tol > 0):
         return _fail(f"QUADTILE_TOL_REALIZE must be a finite number > 0, "
                      f"got {tol:g}", 2)
-    try:
-        m = _load_map(args.mapfile)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), 2)
+    m = _load_map(args.mapfile)
     try:
         q = _resolve_quad(args, m)
     except geometry.DegeneracyError as exc:
         return _fail(f"degenerate quadrilateral: {exc}", 1)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
     try:
         real = geometry.realize(m, q, tol=tol)
     except geometry.ClosureError as exc:
@@ -209,25 +192,19 @@ def cmd_realize(args: argparse.Namespace) -> int:
     print(f"holonomy residual: {_FMT(geometry.holonomy_residual(q))}")
     print(f"closure gap: {_FMT(real.max_mismatch)}")
     print(f"area sum: {_FMT(real.area_sum)}  (4*pi = {_FMT(4 * math.pi)})")
-    try:
-        if args.obj:
-            _write(args.obj,
-                   geometry.export_obj(real, edge_samples=args.edge_samples))
-        if args.svg:
-            _write(args.svg, geometry.export_svg(
-                real, edge_samples=max(args.edge_samples, 1)))
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    if args.obj is not None:
+        _write(args.obj,
+               geometry.export_obj(real, edge_samples=args.edge_samples))
+    if args.svg is not None:
+        _write(args.svg, geometry.export_svg(
+            real, edge_samples=max(args.edge_samples, 1)))
     return 0
 
 
 def cmd_avc_search(args: argparse.Namespace) -> int:
     from .combinatorics import search_avcs
 
-    try:
-        cands = search_avcs(args.f, max_degree=args.max_degree)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    cands = search_avcs(args.f, max_degree=args.max_degree)
     print(f"f={args.f}: {len(cands)} feasible AVC(s)")
     for cand in cands:
         line = str(cand)
@@ -240,10 +217,7 @@ def cmd_avc_search(args: argparse.Namespace) -> int:
 def cmd_symmetry(args: argparse.Namespace) -> int:
     from .symmetry import automorphisms, classify
 
-    try:
-        m = _load_map(args.mapfile)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), 2)
+    m = _load_map(args.mapfile)
     sc = classify(m)
     print(str(sc))
     print(f"paper label: {sc.paper_label}")
@@ -282,11 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="realize a map with a concrete quad")
     p.add_argument("mapfile")
-    p.add_argument("--quad", choices=["family"],
-                   help="use the closed-form family quad for the map's f")
-    p.add_argument("--delta", help="cube-subdivision quad at this delta "
-                   "(e.g. pi/3)")
-    p.add_argument("--angles", help="explicit alpha,beta,gamma,delta")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--quad", choices=["family"],
+                     help="use the closed-form family quad for the map's f")
+    src.add_argument("--delta", help="cube-subdivision quad at this delta "
+                     "(e.g. pi/3)")
+    src.add_argument("--angles", help="explicit alpha,beta,gamma,delta")
     p.add_argument("--root", type=int, default=0,
                    help="which edge-solution root to use with --angles")
     p.add_argument("--obj", help="write OBJ mesh here")
@@ -315,7 +290,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -200,7 +200,7 @@ def solve_edges(
         raise DegeneracyError(
             "beta = delta with gamma != pi admits no valid tile")
     sin_b, sin_g = math.sin(beta), math.sin(gamma)
-    if abs(sin_g) < 1e-12 or abs(sin_b * sin_g) < 1e-12:
+    if abs(sin_b * sin_g) < 1e-12:
         raise SingularityError(
             "sin(beta) sin(gamma) vanishes; edge relations are singular")
 
@@ -343,9 +343,6 @@ def _triangle_from_sas(
     """Side opposite the included angle, and the angles adjacent to it (at
     the far end of s1 and s2 respectively), for a spherical triangle given
     side-angle-side."""
-    if not 0.0 < included < math.pi:
-        raise GeometryError(
-            f"included angle {included!r} outside (0, pi)")
     cos_opp = (math.cos(s1) * math.cos(s2)
                + math.sin(s1) * math.sin(s2) * math.cos(included))
     opp = math.acos(min(1.0, max(-1.0, cos_opp)))

@@ -158,7 +158,7 @@ class TilingMap:
         if not (isinstance(data, dict) and "f" in data and "glue" in data):
             raise TilingError("map JSON must be an object with 'f' and 'glue'")
         f, glue, orient = data["f"], data["glue"], data.get("orient")
-        if not isinstance(f, int):
+        if type(f) is not int:
             raise TilingError(f"'f' must be an integer, got {f!r}")
         if not (isinstance(glue, list)
                 and all(isinstance(e, list) and len(e) == 4 for e in glue)):

@@ -29,6 +29,9 @@ MALFORMED = [
                         [0, "DA", 1, "DA"]], "orient": [0, 1]}
       for entry in ([0, 5, 0, 4], [0.0, "AB", 1, "AB"], [0, "XY", 1, "AB"])),
     "[" * 100000,
+    # a JSON boolean as the tile count
+    {"f": True, "glue": [[0, "AB", 0, "DA"], [0, "BC", 0, "CD"]]},
+    {"f": False, "glue": []},
 ]
 
 
@@ -150,7 +153,7 @@ class TestVerify:
     @pytest.mark.parametrize("data", MALFORMED, ids=[
         "list", "null", "no-glue", "str-f", "int-glue", "int-orient",
         "str-bits", "empty-bits", "null-bits", "slot-5", "float-tile",
-        "name-XY", "deep-nesting"])
+        "name-XY", "deep-nesting", "true-f", "false-f"])
     def test_malformed_map(self, capsys, tmp_path, command, data):
         # [TRIVIAL] well-formed JSON that is not a map layout, or JSON too
         # deeply nested to parse, is a usage error, not a traceback
@@ -229,6 +232,13 @@ class TestRealize:
         code, _, _ = run(capsys, "realize", str(cube_file))
         assert code == 2
 
+    def test_two_quad_sources(self, capsys, cube_file):
+        # [TRIVIAL] the quad sources exclude each other
+        code, out, err = run(capsys, "realize", str(cube_file),
+                             "--quad", "family", "--delta", "pi/3")
+        assert code == 2 and not out
+        assert "not allowed with argument --quad" in err
+
     def test_tolerance_env_is_per_call(self, capsys, pq24_file, monkeypatch):
         # [DERIVED] QUADTILE_TOL_REALIZE applies to that call only: a tiny
         # tolerance fails the realization and leaves the module default
@@ -294,6 +304,66 @@ def test_unwritable_output(capsys, pq24_file, tmp_path, argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "pq-emt", "--f", "16", "-o", ""],
+    ["verify", "MAP", "--expect", ""],
+    ["realize", "MAP", "--quad", "family", "--obj", ""],
+    ["realize", "MAP", "--quad", "family", "--svg", ""],
+], ids=["construct-o", "verify-expect", "realize-obj", "realize-svg"])
+def test_empty_option_value(capsys, pq24_file, argv):
+    # [TRIVIAL] an empty value is a value, not an absent option: an empty
+    # path cannot be opened and an empty AVC string is refused, where they
+    # printed the map to stdout, checked it against its own AVC or wrote
+    # nothing, and exited 0
+    argv = [str(pq24_file) if a == "MAP" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert '"glue"' not in out and "OK" not in out
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["construct", "earth-map", "--f", "7"], 2),
+    (["construct", "subdivision"], 2),
+    (["verify", "MISSING"], 2),
+    (["verify", "MAP", "--expect", "qq"], 2),
+    (["realize", "MISSING", "--quad", "family"], 2),
+    (["realize", "MAP", "--delta", "banana"], 2),
+    (["realize", "MAP", "--angles", "2pi/3,2pi/3,pi/2"], 2),
+    (["realize", "MAP", "--angles", "2pi/3,2pi/3,pi/2,pi/3", "--root", "9"],
+     2),
+    (["realize", "MAP", "--delta", "pi/2"], 1),
+    (["avc-search", "--f", "7"], 2),
+    (["symmetry", "MISSING"], 2),
+], ids=["construct-domain", "construct-usage", "verify-missing",
+        "verify-expect", "realize-missing", "realize-delta",
+        "realize-angles", "realize-root", "realize-degenerate",
+        "avc-search-f", "symmetry-missing"])
+def test_error_exit(capsys, cube_file, tmp_path, argv, code):
+    # [TRIVIAL] every input, domain or I/O error exits with its code and
+    # one error line, never a traceback; a map file that does not exist is
+    # an I/O error like one that is malformed
+    subst = {"MAP": str(cube_file), "MISSING": str(tmp_path / "no.json")}
+    got, _, err = run(capsys, *(subst.get(a, a) for a in argv))
+    assert got == code
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_library_value_error(capsys, cube_file, monkeypatch):
+    # [TRIVIAL] a ValueError raised while a subcommand computes is an error
+    # line and exit 2 like any other, not a traceback
+    import quadtile.symmetry
+
+    def refuse(m):
+        raise ValueError("unclassifiable group")
+
+    monkeypatch.setattr(quadtile.symmetry, "classify", refuse)
+    code, out, err = run(capsys, "symmetry", str(cube_file))
+    assert code == 2 and not out
+    assert err == "error: unclassifiable group\n"
 
 
 class TestAVCSearch:

@@ -15,6 +15,7 @@ from quadtile.constructors import (
 )
 from quadtile.tilingmap import (
     DisconnectedError,
+    EulerError,
     InvolutionError,
     LabelMismatchError,
     TilingError,
@@ -103,6 +104,13 @@ class TestBuild:
         # [TRIVIAL]
         with pytest.raises(TilingError):
             build(3, [])
+
+    def test_torus(self):
+        # [DERIVED] two ccw tiles glued slot to same slot close up into a
+        # torus: v = 2, e = 4, f = 2
+        pairs = [((0, s), (1, s)) for s in ("AB", "BC", "CD", "DA")]
+        with pytest.raises(EulerError, match=r"v - e \+ f = 0, expected 2"):
+            build(2, pairs, orient=[0, 0])
 
 
 class TestStructure:
@@ -279,6 +287,18 @@ class TestSerialization:
         with pytest.raises(TilingError):
             TilingMap.from_json(
                 data if isinstance(data, str) else json.dumps(data))
+
+    @pytest.mark.parametrize("data", [
+        {"f": True, "glue": [[0, "AB", 0, "DA"], [0, "BC", 0, "CD"]]},
+        {"f": False, "glue": []},
+    ], ids=["true", "false"])
+    def test_bool_f(self, data):
+        # [TRIVIAL] a JSON boolean is not a tile count, although bool is a
+        # subclass of int: it is refused as such, not later as an odd or
+        # non-positive f
+        with pytest.raises(TilingError,
+                           match=f"'f' must be an integer, got {data['f']}"):
+            TilingMap.from_json(json.dumps(data))
 
     def test_glue_count_checked_first(self):
         # [TRIVIAL] a file claiming a million tiles with no glue is refused
