@@ -5,7 +5,8 @@ significant digits).  Exit codes: 0 success, 1 verification failure, 2 a
 usage error.  ``main`` turns any ``OSError`` or ``ValueError`` a
 subcommand raises (a file that cannot be read or written, a malformed map,
 a domain or parse error) into exit 2 with one ``error:`` line; ``realize``
-alone maps a degenerate quadrilateral or a failed realization to exit 1.
+alone maps a degenerate quadrilateral or a failed realization to exit 1,
+and opens its ``--obj`` and ``--svg`` files before it realizes the map.
 The environment variable ``QUADTILE_TOL_REALIZE`` overrides the
 realization closure tolerance (default 1e-6); it must be a finite number
 > 0, or ``realize`` exits 2.
@@ -18,6 +19,7 @@ importing this module loads no ``quadtile`` submodule, and only
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -76,11 +78,14 @@ def _load_map(path: str):
         return TilingMap.from_json(fh.read())
 
 
-def _write(path: str, text: str) -> None:
-    """Write ``text`` to the file at ``path`` and say so on stdout."""
-    with open(path, "w", encoding="utf-8") as fh:
+def _write(fh, text: str) -> None:
+    """Write ``text`` to the open file ``fh`` and cut it there (when
+    ``--obj`` and ``--svg`` name one file the SVG is all of it), close it
+    and say so on stdout."""
+    with fh:
         fh.write(text)
-    print(f"wrote {path}")
+        fh.truncate()
+    print(f"wrote {fh.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +121,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     print(f"f={m.f}  AVC: {format_avc(extract_avc(m))}")
     text = m.to_json()
     if args.output is not None:
-        _write(args.output, text + "\n")
+        _write(open(args.output, "w", encoding="utf-8"), text + "\n")
     else:
         print(text)
     return 0
@@ -175,29 +180,34 @@ def cmd_realize(args: argparse.Namespace) -> int:
         q = _resolve_quad(args, m)
     except geometry.DegeneracyError as exc:
         return _fail(f"degenerate quadrilateral: {exc}", 1)
-    try:
-        real = geometry.realize(m, q, tol=tol)
-    except geometry.ClosureError as exc:
-        print(f"error: realization failed: {exc}", file=sys.stderr)
-        print(f"worst vertex: {exc.worst_vertex}  gap: {_FMT(exc.gap)}",
-              file=sys.stderr)
-        return 1
-    except geometry.GeometryError as exc:
-        return _fail(f"realization failed: {exc}", 1)
+    with contextlib.ExitStack() as outputs:
+        # a path that cannot be written fails before any work or output
+        obj, svg = (outputs.enter_context(open(path, "w", encoding="utf-8"))
+                    if path is not None else None
+                    for path in (args.obj, args.svg))
+        try:
+            real = geometry.realize(m, q, tol=tol)
+        except geometry.ClosureError as exc:
+            print(f"error: realization failed: {exc}", file=sys.stderr)
+            print(f"worst vertex: {exc.worst_vertex}  gap: {_FMT(exc.gap)}",
+                  file=sys.stderr)
+            return 1
+        except geometry.GeometryError as exc:
+            return _fail(f"realization failed: {exc}", 1)
 
-    print(f"f={m.f}")
-    print(f"edges: a={_FMT(q.a)} b={_FMT(q.b)} c={_FMT(q.c)}")
-    print(f"angles: alpha={_FMT(q.alpha)} beta={_FMT(q.beta)} "
-          f"gamma={_FMT(q.gamma)} delta={_FMT(q.delta)}")
-    print(f"holonomy residual: {_FMT(geometry.holonomy_residual(q))}")
-    print(f"closure gap: {_FMT(real.max_mismatch)}")
-    print(f"area sum: {_FMT(real.area_sum)}  (4*pi = {_FMT(4 * math.pi)})")
-    if args.obj is not None:
-        _write(args.obj,
-               geometry.export_obj(real, edge_samples=args.edge_samples))
-    if args.svg is not None:
-        _write(args.svg, geometry.export_svg(
-            real, edge_samples=max(args.edge_samples, 1)))
+        print(f"f={m.f}")
+        print(f"edges: a={_FMT(q.a)} b={_FMT(q.b)} c={_FMT(q.c)}")
+        print(f"angles: alpha={_FMT(q.alpha)} beta={_FMT(q.beta)} "
+              f"gamma={_FMT(q.gamma)} delta={_FMT(q.delta)}")
+        print(f"holonomy residual: {_FMT(geometry.holonomy_residual(q))}")
+        print(f"closure gap: {_FMT(real.max_mismatch)}")
+        print(f"area sum: {_FMT(real.area_sum)}  (4*pi = {_FMT(4 * math.pi)})")
+        if obj is not None:
+            _write(obj,
+                   geometry.export_obj(real, edge_samples=args.edge_samples))
+        if svg is not None:
+            _write(svg, geometry.export_svg(
+                real, edge_samples=max(args.edge_samples, 1)))
     return 0
 
 
@@ -243,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "earth-map", "pq-emt", "subdivision", "alphadelta", "beta2delta"])
     p.add_argument("--f", type=int, help="number of tiles (not subdivision)")
     p.add_argument("--base", choices=["cube", "octahedron", "triangular_prism"],
-                   help="base polyhedron (subdivision only)")
+                   help="base polyhedron (subdivision only); octahedron is "
+                   "an alias of cube with identical output")
     p.add_argument("-o", "--output", help="write TilingMap JSON here")
     p.set_defaults(func=cmd_construct)
 

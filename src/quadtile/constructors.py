@@ -139,80 +139,42 @@ CUBE_FACES: tuple[tuple[int, ...], ...] = (
     (1, 3, 7, 5),  # z = 1
 )
 
-OCTAHEDRON_FACES: tuple[tuple[int, ...], ...] = (
-    # vertices: 0=+x 1=-x 2=+y 3=-y 4=+z 5=-z; ccw from outside
-    (0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
-    (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5),
-)
-
 
 def quad_subdivide(base: str) -> TilingMap:
     """Quadrilateral subdivision of a base polyhedron (f = 24 in all cases).
 
-    cube / octahedron: one quad per (face, incident vertex); corner A sits at
-    the degree-3 cell class, C at the degree-4 class, B/D at edge midpoints.
+    cube: one quad per (face, incident vertex); corner A sits at the
+    degree-3 cell class, C at the degree-4 class, B/D at edge midpoints.
+    octahedron: an alias of cube with identical output, since subdividing
+    the octahedron (A at face centres, C at vertices) gives the same map.
     triangular_prism: three quads per triangular face and six per square face
     (screw arrangement with trisected vertical edges).
     """
     if base in ("cube", "octahedron"):
-        faces = CUBE_FACES if base == "cube" else _dual(OCTAHEDRON_FACES)
-        m = _vertex_subdivision(faces)
-        expected = {VertexSignature.parse("a3"): 8,
-                    VertexSignature.parse("b2d2"): 12,
-                    VertexSignature.parse("g4"): 6}
-        return _check_avc(m, expected, f"quad_subdivide({base})")
+        return _cube_subdivision()
     if base == "triangular_prism":
         return _prism_subdivision()
     raise DomainError(
         f"base must be cube, octahedron or triangular_prism, got {base!r}")
 
 
-def _dual(faces: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Combinatorial dual: vertices become faces (their incident-face cycle
-    in ccw order) and faces become vertices."""
-    nv = 1 + max(v for face in faces for v in face)
-    # directed edge (u, v) -> face containing it
-    face_of_edge: dict[tuple[int, int], int] = {}
-    for fi, face in enumerate(faces):
-        for i, u in enumerate(face):
-            face_of_edge[(u, face[(i + 1) % len(face)])] = fi
-    dual_faces = []
-    for v in range(nv):
-        # walk faces around v in ccw order
-        start = next(fi for fi, face in enumerate(faces) if v in face)
-        cycle = []
-        fi = start
-        while True:
-            cycle.append(fi)
-            face = faces[fi]
-            i = face.index(v)
-            prev_v = face[(i - 1) % len(face)]
-            fi = face_of_edge[(v, prev_v)]
-            if fi == start:
-                break
-        dual_faces.append(tuple(cycle))
-    return tuple(dual_faces)
+def _cube_subdivision() -> TilingMap:
+    """Barycentric quads of the cube with A at its vertices: tile 4 * fi + i
+    sits at corner CUBE_FACES[fi][i].
 
-
-def _vertex_subdivision(faces: tuple[tuple[int, ...], ...]) -> TilingMap:
-    """Barycentric quads with A at base vertices: tile 4 * fi + i sits at
-    corner faces[fi][i].
-
-    Every base vertex must have degree 3 and every face degree 4 (so that A
-    vertices become alpha^3 and face centers gamma^4).  The b/c spoke labels
-    alternate around each face and differ across each base edge.  The two
-    such assignments differ by swapping b and c everywhere, which the
-    canonical form identifies (its flip renames b<->c), so the first one is
-    used.
+    Every cube vertex has degree 3 and every face degree 4, so A vertices
+    become alpha^3 and face centers gamma^4.  The b/c spoke labels alternate
+    around each face and differ across each cube edge.  The two such
+    assignments differ by swapping b and c everywhere, which the canonical
+    form identifies (its flip renames b<->c), so the first one is used.
     """
-    assert all(len(face) == 4 for face in faces)
     labels = next(filter(None, (
-        _spoke_labels(faces, bits)
-        for bits in itertools.product((0, 1), repeat=len(faces)))))
+        _spoke_labels(bits)
+        for bits in itertools.product((0, 1), repeat=len(CUBE_FACES)))))
     orient = []
     # edge key -> the two (tile, slot) ends glued along it
     ends: dict[tuple, list[tuple[int, str]]] = {}
-    for fi, face in enumerate(faces):
+    for fi, face in enumerate(CUBE_FACES):
         for i, v in enumerate(face):
             t = 4 * fi + i
             e_next = frozenset((v, face[(i + 1) % 4]))  # ccw-next midpoint
@@ -226,11 +188,15 @@ def _vertex_subdivision(faces: tuple[tuple[int, ...], ...]) -> TilingMap:
                               ("CD", ("spoke", fi, c_edge)),
                               ("DA", ("half", c_edge, v))):
                 ends.setdefault(key, []).append((t, slot))
-    return build(4 * len(faces), ends.values(), orient=orient)
+    m = build(24, ends.values(), orient=orient)
+    expected = {VertexSignature.parse("a3"): 8,
+                VertexSignature.parse("b2d2"): 12,
+                VertexSignature.parse("g4"): 6}
+    return _check_avc(m, expected, "quad_subdivide(cube)")
 
 
-def _spoke_labels(faces, bits) -> dict[tuple[int, frozenset[int]], str] | None:
-    """Assign 'b'/'c' to each (face index, midpoint-edge) spoke.
+def _spoke_labels(bits) -> dict[tuple[int, frozenset[int]], str] | None:
+    """Assign 'b'/'c' to each (cube face index, midpoint-edge) spoke.
 
     bits[fi] picks which of the two alternating patterns face fi uses; the
     assignment is valid when the two faces sharing an edge give its midpoint
@@ -238,7 +204,7 @@ def _spoke_labels(faces, bits) -> dict[tuple[int, frozenset[int]], str] | None:
     """
     labels: dict[tuple[int, frozenset[int]], str] = {}
     edge_seen: dict[frozenset[int], dict[int, str]] = {}
-    for fi, face in enumerate(faces):
+    for fi, face in enumerate(CUBE_FACES):
         for i in range(4):
             e = frozenset((face[i], face[(i + 1) % 4]))
             lab = "bc"[(i + bits[fi]) % 2]

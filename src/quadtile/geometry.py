@@ -103,10 +103,6 @@ class SphericalQuad:
     def reflex_count(self) -> int:
         return sum(1 for v in self.angles if v >= math.pi)
 
-    def distinct_edges(self, tol: float = TOL_DEGENERATE) -> bool:
-        return (abs(self.a - self.b) > tol and abs(self.a - self.c) > tol
-                and abs(self.b - self.c) > tol)
-
 
 def _check_open_turn(**values: float) -> None:
     """Raise GeometryError naming the first value outside (0, 2*pi)."""

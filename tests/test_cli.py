@@ -92,6 +92,15 @@ class TestConstruct:
         assert err.startswith("error: ") and option in err
         assert not out_file.exists()
 
+    def test_octahedron_alias(self, capsys, tmp_path):
+        # [DERIVED] --base octahedron is an alias of cube: the same bytes
+        cube, octahedron = tmp_path / "cube.json", tmp_path / "oct.json"
+        for base, path in (("cube", cube), ("octahedron", octahedron)):
+            code, _, _ = run(capsys, "construct", "subdivision", "--base",
+                             base, "-o", str(path))
+            assert code == 0
+        assert octahedron.read_bytes() == cube.read_bytes()
+
     def test_deterministic(self, capsys, tmp_path):
         # [TRIVIAL] identical invocations yield byte-identical files
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -324,6 +333,51 @@ def test_empty_option_value(capsys, pq24_file, argv):
     assert '"glue"' not in out and "OK" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--obj", "OUT", "--svg", "MISSING"],
+    ["--obj", ""],
+], ids=["bad-svg", "empty-obj"])
+def test_output_checked_before_realizing(capsys, pq24_file, tmp_path,
+                                         monkeypatch, argv):
+    # [DERIVED] a realize output that cannot be written exits 2 before the
+    # realization runs: nothing on stdout, one error line, and no content
+    # in the other output
+    def refuse(*args, **kwargs):
+        raise AssertionError("realize ran")
+
+    monkeypatch.setattr(geometry, "realize", refuse)
+    obj = tmp_path / "m.obj"
+    subst = {"OUT": str(obj), "MISSING": str(tmp_path / "missing" / "x.svg")}
+    code, out, err = run(capsys, "realize", str(pq24_file), "--quad",
+                         "family", *(subst.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not obj.exists() or obj.stat().st_size == 0
+
+
+def test_one_path_for_both_outputs(capsys, pq24_file, tmp_path):
+    # [DERIVED] --obj and --svg naming one file leave it holding the SVG,
+    # written last, and none of the longer OBJ after it
+    path = tmp_path / "m.out"
+    code, _, _ = run(capsys, "realize", str(pq24_file), "--quad", "family",
+                     "--obj", str(path), "--svg", str(path))
+    assert code == 0
+    text = path.read_text()
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
+
+
+def test_failed_realization_writes_no_content(capsys, pq24_file, tmp_path,
+                                              monkeypatch):
+    # [DERIVED] outputs opened before a realization that fails are left
+    # without content
+    monkeypatch.setenv("QUADTILE_TOL_REALIZE", "1e-300")
+    obj, svg = tmp_path / "m.obj", tmp_path / "m.svg"
+    code, out, _ = run(capsys, "realize", str(pq24_file), "--quad", "family",
+                       "--obj", str(obj), "--svg", str(svg))
+    assert code == 1 and out == ""
+    assert all(not p.exists() or p.stat().st_size == 0 for p in (obj, svg))
+
+
 @pytest.mark.parametrize("argv,code", [
     (["construct", "earth-map", "--f", "7"], 2),
     (["construct", "subdivision"], 2),
@@ -408,7 +462,8 @@ SESSION = [
 #: the bytes of every file the session writes; recorded before the
 #: constructors were rewritten to build each map directly, except the two
 #: realize entries, pq24.obj and pq24.svg, re-recorded when realize and
-#: export moved from NumPy to plain Python
+#: export moved from NumPy to plain Python, and oct.json, which has
+#: cube.json's digest since octahedron is an alias of cube
 SESSION_GOLDEN = {
     "construct pq-emt --f 24 -o pq24.json":
         "9dbf31f2681e6d2ad8764708010103ab80bdca4c8f2d6789785b6d4d0a6dc704",
@@ -435,7 +490,7 @@ SESSION_GOLDEN = {
     "cube.json":
         "2d4b25ebaebf19241588beb912b2088677aed18e917f6318528b418a9ba1da2f",
     "oct.json":
-        "ca34f62d450ad8140a8ea42c5f3b6d02f004b84b1da29f40b719bf5c5405748a",
+        "2d4b25ebaebf19241588beb912b2088677aed18e917f6318528b418a9ba1da2f",
     "pq24.json":
         "3f12191cdbe5a7ab94f29eec5d10b94e8380626e7eba8b606662e8983f7f8210",
     "pq24.obj":

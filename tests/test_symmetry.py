@@ -168,7 +168,7 @@ TRACE_GOLDEN = {
     ("quad_subdivide", "cube"):
         "d860314a2f22c22eb7fb0e67077e604f68655f3e9ba3f1f94e6cadd9d3f64229",
     ("quad_subdivide", "octahedron"):
-        "426c8f77dc605dc84931e411af6da550ccf5b7b1fb5121d621e17971782168ef",
+        "d860314a2f22c22eb7fb0e67077e604f68655f3e9ba3f1f94e6cadd9d3f64229",
     ("quad_subdivide", "triangular_prism"):
         "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
     ("family_alphadelta", 56):

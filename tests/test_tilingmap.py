@@ -211,7 +211,7 @@ VERTEX_GOLDEN = {
     ("quad_subdivide", "cube"): ((12, 0, 12, 12, 0, 12),
         "ddf3f69e1ddb1696facb9f64576dd78a4bceb0b75bf15dda12010e68ac121d8c"),
     ("quad_subdivide", "octahedron"): ((12, 0, 12, 12, 0, 12),
-        "62327b2241b8ae96e1fb22bf2d12f4db0f4dba0290ed11088dfdacc856526416"),
+        "ddf3f69e1ddb1696facb9f64576dd78a4bceb0b75bf15dda12010e68ac121d8c"),
     ("quad_subdivide", "triangular_prism"): ((12, 0, 12, 12, 0, 12),
         "cd5af01dd017911c3a0e19f4029e80ca0a31e5f3031928469997c3f2c97601ae"),
     ("family_alphadelta", 56): ((28, 0, 28, 28, 0, 28),
@@ -326,6 +326,13 @@ class TestIsomorphism:
         # [PAPER] cube and octahedron subdivisions give the same map
         assert quad_subdivide("cube").is_isomorphic(
             quad_subdivide("octahedron"))
+
+    def test_octahedron_is_cube(self):
+        # [DERIVED] octahedron is an alias of cube: the same map, tile for
+        # tile, and the same serialisation
+        cube, octahedron = quad_subdivide("cube"), quad_subdivide("octahedron")
+        assert octahedron == cube
+        assert octahedron.to_json() == cube.to_json()
 
     def test_distinct(self):
         # [DERIVED] prism subdivision differs from the cube subdivision
