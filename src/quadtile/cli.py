@@ -7,9 +7,8 @@ subcommand raises (a file that cannot be read or written, a malformed map,
 a domain or parse error) into exit 2 with one ``error:`` line; ``realize``
 alone maps a degenerate quadrilateral or a failed realization to exit 1,
 and opens its ``--obj`` and ``--svg`` files before it realizes the map.
-The environment variable ``QUADTILE_TOL_REALIZE`` overrides the
-realization closure tolerance (default 1e-6); it must be a finite number
-> 0, or ``realize`` exits 2.
+A realization closes or fails against the fixed ``geometry.TOL_REALIZE``
+(1e-6).
 
 Each subcommand imports the library layer it runs when it is called, so
 importing this module loads no ``quadtile`` submodule, and only
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
-import os
 import re
 import sys
 from collections import Counter
@@ -167,14 +165,6 @@ def cmd_realize(args: argparse.Namespace) -> int:
     if args.edge_samples < 0:
         return _fail(f"--edge-samples must be non-negative, got "
                      f"{args.edge_samples}", 2)
-    try:
-        tol = float(os.environ.get("QUADTILE_TOL_REALIZE",
-                                   geometry.TOL_REALIZE))
-    except ValueError as exc:
-        return _fail(f"QUADTILE_TOL_REALIZE: {exc}", 2)
-    if not (math.isfinite(tol) and tol > 0):
-        return _fail(f"QUADTILE_TOL_REALIZE must be a finite number > 0, "
-                     f"got {tol:g}", 2)
     m = _load_map(args.mapfile)
     try:
         q = _resolve_quad(args, m)
@@ -186,7 +176,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
                     if path is not None else None
                     for path in (args.obj, args.svg))
         try:
-            real = geometry.realize(m, q, tol=tol)
+            real = geometry.realize(m, q)
         except geometry.ClosureError as exc:
             print(f"error: realization failed: {exc}", file=sys.stderr)
             print(f"worst vertex: {exc.worst_vertex}  gap: {_FMT(exc.gap)}",

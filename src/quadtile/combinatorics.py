@@ -139,26 +139,23 @@ def counting_identities(dv: DegreeVector) -> CheckReport:
 
 def avc_feasibility(
     signatures: Iterable[VertexSignature], f: int,
-    require_all_used: bool = True,
 ) -> list[dict[VertexSignature, int]]:
     """All multiplicity vectors with #alpha = #beta = #gamma = #delta = f and
     sum n_v = f + 2 (the Euler vertex count, which subsumes the degree-count
-    identities).  By default every listed signature must be used (n_v >= 1,
-    the "AVC identically equal" reading); pass require_all_used=False for
-    nonnegative vectors.  The vectors come in ascending lexicographic order
-    of their multiplicities read in catalog order (``catalog_sort_key``)."""
-    return list(_multiplicity_vectors(signatures, f, require_all_used))
+    identities) that use every listed signature (n_v >= 1, the "AVC
+    identically equal" reading), in ascending lexicographic order of their
+    multiplicities read in catalog order (``catalog_sort_key``)."""
+    return list(_multiplicity_vectors(signatures, f))
 
 
 def _multiplicity_vectors(
-    signatures: Iterable[VertexSignature], f: int, require_all_used: bool,
+    signatures: Iterable[VertexSignature], f: int,
 ) -> Iterator[dict[VertexSignature, int]]:
     """The vectors of ``avc_feasibility``, lazily and in the same order: the
     recursion fixes one signature at a time in catalog order and tries its
     multiplicities in ascending order."""
     sigs = sorted(set(signatures), key=catalog_sort_key)
     n = len(sigs)
-    lo = 1 if require_all_used else 0
 
     # suffix bounds for pruning: the largest per-angle exponent and the
     # degree range among signatures i..n-1
@@ -189,12 +186,12 @@ def _multiplicity_vectors(
             return
         sig = sigs[i]
         a, b, c, d = sig
-        bounds = [rv - lo * (n - 1 - i)]  # room for the later signatures
+        bounds = [rv - (n - 1 - i)]  # room for the later signatures
         for e, r in ((a, ra), (b, rb), (c, rc), (d, rd)):
             if e:
                 bounds.append(r // e)
         hi = min(bounds)
-        for m in range(lo, hi + 1):
+        for m in range(1, hi + 1):
             counts[sig] = m
             yield from rec(i + 1, counts, ra - m * a, rb - m * b, rc - m * c,
                            rd - m * d, rv - m)
@@ -313,7 +310,7 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
                  support_mask: int) -> None:
         if not _balanced(support_mask):
             return
-        counts = next(_multiplicity_vectors(subset, f, True), None)
+        counts = next(_multiplicity_vectors(subset, f), None)
         if counts is None:
             return
         sigs = tuple(sorted(subset, key=catalog_sort_key))

@@ -7,7 +7,6 @@ re-checked on every call, so any transcription drift fails loudly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -163,14 +162,12 @@ def _cube_subdivision() -> TilingMap:
     sits at corner CUBE_FACES[fi][i].
 
     Every cube vertex has degree 3 and every face degree 4, so A vertices
-    become alpha^3 and face centers gamma^4.  The b/c spoke labels alternate
-    around each face and differ across each cube edge.  The two such
-    assignments differ by swapping b and c everywhere, which the canonical
-    form identifies (its flip renames b<->c), so the first one is used.
+    become alpha^3 and face centers gamma^4.  The spoke from face fi's
+    center to the midpoint of its i-th edge is b exactly when i + fi is
+    even, so the labels alternate around each face and differ across each
+    cube edge.  The only other such labelling swaps b and c everywhere,
+    which the canonical form identifies (its flip renames b<->c).
     """
-    labels = next(filter(None, (
-        _spoke_labels(bits)
-        for bits in itertools.product((0, 1), repeat=len(CUBE_FACES)))))
     orient = []
     # edge key -> the two (tile, slot) ends glued along it
     ends: dict[tuple, list[tuple[int, str]]] = {}
@@ -180,7 +177,7 @@ def _cube_subdivision() -> TilingMap:
             e_next = frozenset((v, face[(i + 1) % 4]))  # ccw-next midpoint
             e_prev = frozenset((v, face[i - 1]))
             # orientation 0: A -> B runs ccw within the face
-            mirrored = labels[fi, e_next] != "b"
+            mirrored = (i + fi) % 2 == 1
             b_edge, c_edge = (e_prev, e_next) if mirrored else (e_next, e_prev)
             orient.append(int(mirrored))
             for slot, key in (("AB", ("half", b_edge, v)),
@@ -193,27 +190,6 @@ def _cube_subdivision() -> TilingMap:
                 VertexSignature.parse("b2d2"): 12,
                 VertexSignature.parse("g4"): 6}
     return _check_avc(m, expected, "quad_subdivide(cube)")
-
-
-def _spoke_labels(bits) -> dict[tuple[int, frozenset[int]], str] | None:
-    """Assign 'b'/'c' to each (cube face index, midpoint-edge) spoke.
-
-    bits[fi] picks which of the two alternating patterns face fi uses; the
-    assignment is valid when the two faces sharing an edge give its midpoint
-    different labels.
-    """
-    labels: dict[tuple[int, frozenset[int]], str] = {}
-    edge_seen: dict[frozenset[int], dict[int, str]] = {}
-    for fi, face in enumerate(CUBE_FACES):
-        for i in range(4):
-            e = frozenset((face[i], face[(i + 1) % 4]))
-            lab = "bc"[(i + bits[fi]) % 2]
-            labels[(fi, e)] = lab
-            edge_seen.setdefault(e, {})[fi] = lab
-    for e, by_face in edge_seen.items():
-        if len(by_face) != 2 or len(set(by_face.values())) != 2:
-            return None
-    return labels
 
 
 def _prism_subdivision() -> TilingMap:

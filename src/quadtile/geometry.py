@@ -100,9 +100,6 @@ class SphericalQuad:
         """Edge lengths in boundary order AB, BC, CD, DA."""
         return (self.a, self.b, self.c, self.a)
 
-    def reflex_count(self) -> int:
-        return sum(1 for v in self.angles if v >= math.pi)
-
 
 def _check_open_turn(**values: float) -> None:
     """Raise GeometryError naming the first value outside (0, 2*pi)."""
@@ -491,20 +488,17 @@ def _triad(u1: Vec, u2: Vec) -> tuple[Vec, Vec, Vec]:
     return u1, v, _cross(u1, v)
 
 
-def realize(m: TilingMap, q: SphericalQuad,
-            tol: float = TOL_REALIZE) -> Realization:
+def realize(m: TilingMap, q: SphericalQuad) -> Realization:
     """Embed the map on the unit sphere by frame propagation along the
     map's spanning ``tree``: tile 0 goes first (corner A at the north pole,
     AB along the prime meridian), then each tree dart's tile is fitted to
     the two ends of that dart, which the tile across it has placed.
 
     Every vertex of the map must satisfy its angle sum within 1e-9; all
-    coordinates assigned to a vertex must agree within ``tol`` (default
-    1e-6), and the total spherical area of the tiles must be 4pi within
-    ``tol``.  A ``tol`` that is not a finite number > 0 raises ValueError.
+    coordinates assigned to a vertex must agree within ``TOL_REALIZE``
+    (1e-6), and the total spherical area of the tiles must be 4pi within
+    ``TOL_REALIZE``.  The constant is read on each call.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     avc = extract_avc(m)
     report = verify(m, avc)
     if not report.passed:
@@ -554,10 +548,10 @@ def realize(m: TilingMap, q: SphericalQuad,
                     a * x2 + b * y2 + c * z2)
                    for a, b, c in local[m.orient[t2], c1]])
 
-    if worst > tol:
+    if worst > TOL_REALIZE:
         raise ClosureError(
             f"realization does not close: vertex {worst_vertex} gap "
-            f"{worst:.3e} exceeds {tol:.0e}", worst_vertex, worst)
+            f"{worst:.3e} exceeds {TOL_REALIZE:.0e}", worst_vertex, worst)
 
     # signed interior angle at every corner: the turn from the tangent
     # towards the next corner to the tangent towards the previous one,
@@ -573,7 +567,7 @@ def realize(m: TilingMap, q: SphericalQuad,
             angles.append(math.atan2(sign * _dot(p, _cross(t_next, t_prev)),
                                      _dot(t_next, t_prev)) % (2.0 * math.pi))
     total_area = math.fsum(angles) - 2.0 * math.pi * m.f
-    if abs(total_area - 4.0 * math.pi) > tol:
+    if abs(total_area - 4.0 * math.pi) > TOL_REALIZE:
         raise ClosureError(
             f"tile areas sum to {total_area!r}, not 4*pi", -1,
             abs(total_area - 4.0 * math.pi))
@@ -640,6 +634,9 @@ def export_obj(real: Realization, edge_samples: int = 0) -> str:
     return "\n".join(lines)
 
 
+#: width and height of the SVG drawing, in pixels
+SVG_SIZE = 640
+
 #: SVG stroke styling per edge label: plain a, double b, heavy c
 SVG_STYLE = """
 .edge-a { stroke: #000; stroke-width: 1; fill: none; }
@@ -649,18 +646,17 @@ SVG_STYLE = """
 """
 
 
-def export_svg(
-    real: Realization, size: int = 640, edge_samples: int = 16,
-) -> str:
-    """Stereographic projection from the south pole as an SVG drawing,
-    with stroke classes per edge label (plain a, double b, heavy c)."""
+def export_svg(real: Realization, edge_samples: int = 16) -> str:
+    """Stereographic projection from the south pole as an SVG drawing of
+    ``SVG_SIZE`` pixels square, with stroke classes per edge label (plain
+    a, double b, heavy c)."""
     if edge_samples < 1:
         raise ValueError(f"edge_samples must be >= 1, got {edge_samples}")
-    half = size / 2.0
-    scale = size / 8.0
+    half = SVG_SIZE / 2.0
+    scale = SVG_SIZE / 8.0
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
         f"<style>{SVG_STYLE}</style>"]
     for s, pts in _edge_polylines(real, edge_samples):
         d, cmd = [], "M"

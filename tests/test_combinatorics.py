@@ -178,11 +178,10 @@ class TestFeasibility:
         # exponents: a3, bgd, a6, b2g2d2); the AVC search keeps the first
         support = [sig("b2g2d2"), sig("a6"), sig("bgd"), sig("a3")]
         order = sorted(support, key=catalog_sort_key)
-        for all_used, count in ((True, 3), (False, 5)):
-            mults = avc_feasibility(support, 24, require_all_used=all_used)
-            rows = [[counts[s] for s in order] for counts in mults]
-            assert len(rows) == count
-            assert rows == sorted(rows)
+        mults = avc_feasibility(support, 24)
+        rows = [[counts[s] for s in order] for counts in mults]
+        assert len(rows) == 3
+        assert rows == sorted(rows)
 
     def test_angles_feasible(self):
         # [DERIVED] pq family feasible at f=16; {ab2, ad2, g4} forces
