@@ -10,6 +10,8 @@ therefore a faithful model of the tiling's isometry group on the sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import eq, itemgetter
 
 from .tilingmap import EDGE_LABELS, TilingMap
 
@@ -46,10 +48,10 @@ class MapAutomorphism:
         return k
 
     def compose(self, other: "MapAutomorphism") -> "MapAutomorphism":
-        """self after other."""
-        return MapAutomorphism(
-            tuple(self.perm[p] for p in other.perm),
-            self.reversing ^ other.reversing)
+        """self after other: ``self.perm`` gathered at ``other.perm`` (a map
+        has f >= 2 tiles, so ``itemgetter`` returns a tuple, not an int)."""
+        return MapAutomorphism(itemgetter(*other.perm)(self.perm),
+                               self.reversing ^ other.reversing)
 
     def inverse(self) -> "MapAutomorphism":
         inv = [0] * len(self.perm)
@@ -71,12 +73,13 @@ def automorphisms(m: TilingMap) -> list[MapAutomorphism]:
     """
     # image of tile 0 -> element
     group = {0: MapAutomorphism(tuple(range(m.f)), False)}
+    tile_darts = _tile_darts(m.f)
     gens: list[MapAutomorphism] = []
     for target in range(m.f):
         if target in group:
             continue
         reversing = m.orient[target] != m.orient[0]
-        perm = _propagate(m, target, reversing)
+        perm = _propagate(m, target, reversing, tile_darts)
         if perm is None:
             continue
         gens.append(MapAutomorphism(perm, reversing))
@@ -91,13 +94,16 @@ def automorphisms(m: TilingMap) -> list[MapAutomorphism]:
 
 
 def _propagate(
-    m: TilingMap, target: int, reversing: bool
+    m: TilingMap, target: int, reversing: bool,
+    tile_darts: list[tuple[int, int, int, int]],
 ) -> tuple[int, ...] | None:
     """The tile permutation sending tile 0 to ``target``, forced along
     ``m.tree`` (tree dart d goes to the dart glued to the image of its
-    parent dart glue[d]), or None unless it commutes with the gluing.  Then
-    it is a covering of the map by itself: its image is closed under
-    gluing, so on a connected map it is onto, and so one-to-one."""
+    parent dart glue[d]), or None unless it commutes with the gluing: its
+    dart images, gathered at the glue table, equal the glue table gathered
+    at its dart images.  Then it is a covering of the map by itself: its
+    image is closed under gluing, so on a connected map it is onto, and so
+    one-to-one."""
     glue, orient = m.glue, m.orient
     perm = [target] + [0] * (m.f - 1)
     for d in m.tree:
@@ -107,10 +113,16 @@ def _propagate(
                 or orient[image >> 2] != orient[d >> 2] ^ reversing):
             return None
         perm[d >> 2] = image >> 2
-    if any(glue[4 * perm[s >> 2] + (s & 3)] != 4 * perm[t >> 2] + (t & 3)
-           for s, t in enumerate(glue)):
+    darts = tuple(chain.from_iterable(itemgetter(*perm)(tile_darts)))
+    if itemgetter(*darts)(glue) != itemgetter(*glue)(darts):
         return None
     return tuple(perm)
+
+
+def _tile_darts(f: int) -> list[tuple[int, int, int, int]]:
+    """Each tile t's darts 4t..4t + 3: gathered at a tile permutation and
+    chained, they are its dart images, dart 4t + p going to 4 perm[t] + p."""
+    return [(d, d + 1, d + 2, d + 3) for d in range(0, 4 * f, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +227,12 @@ def classify(m: TilingMap) -> SymmetryClass:
     np_ = len(preserving)
     orders = [g.order() for g in preserving]
 
-    mirrors, has_inv = [], False
+    mirrors, has_inv, tile_darts = [], False, _tile_darts(m.f)
     for g in reversing:
         if g.order() != 2:
             continue
-        perm = g.perm
-        if any(4 * perm[s >> 2] + (s & 3) == t for s, t in enumerate(m.glue)):
+        images = chain.from_iterable(itemgetter(*g.perm)(tile_darts))
+        if any(map(eq, images, m.glue)):
             mirrors.append(g)
         else:
             has_inv = True

@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, compress
+from operator import add, attrgetter, eq, itemgetter, lt
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .angles import VertexSignature
 from .combinatorics import (
@@ -46,6 +48,8 @@ __all__ = [
 
 SLOT_NAMES = ("AB", "BC", "CD", "DA")
 EDGE_LABELS = ("a", "b", "c", "a")
+#: slot name -> position 0-3, for ``TilingMap.slot``
+_SLOT_INDEX = {name: p for p, name in enumerate(SLOT_NAMES)}
 
 
 class TilingError(ValueError):
@@ -68,12 +72,12 @@ class EulerError(TilingError):
     """The Euler characteristic v - e + f differs from 2."""
 
 
-@dataclass(frozen=True)
-class VertexCycle:
+class VertexCycle(NamedTuple):
     """A vertex as its sigma orbit, as ``build`` walks it: ``darts`` are the
     slots whose ccw dart starts here, each followed by the next dart ccw
     around the vertex, ``corners`` the corner (0=A..3=D) of each dart's tile
-    at the vertex, and ``signature`` the count of each corner."""
+    at the vertex, and ``signature`` the count of each corner.  A named
+    tuple, like ``VertexSignature``, so that ``build`` makes one cheaply."""
 
     darts: tuple[int, ...]
     corners: tuple[int, ...]
@@ -102,7 +106,7 @@ class TilingMap:
 
     @staticmethod
     def slot(tile: int, pos: int | str) -> int:
-        p = SLOT_NAMES.index(pos) if pos in SLOT_NAMES else pos
+        p = _SLOT_INDEX.get(pos) if isinstance(pos, str) else pos
         if type(tile) is not int or type(p) is not int or not 0 <= p < 4:
             raise TilingError(f"bad glue entry: tile {tile!r}, slot {pos!r}")
         return 4 * tile + p
@@ -114,7 +118,8 @@ class TilingMap:
 
     def face_next(self, slot: int) -> int:
         """Next boundary dart of the same tile in global ccw order."""
-        return _face_next(self.orient, slot)
+        t, p = divmod(slot, 4)
+        return 4 * t + (p - 1 if self.orient[t] else p + 1) % 4
 
     # -- queries ----------------------------------------------------------
 
@@ -133,7 +138,7 @@ class TilingMap:
                 if s < self.glue[s]]
 
     def degree_vector(self) -> DegreeVector:
-        counts = Counter(v.degree for v in self.vertices)
+        counts = Counter(map(len, map(attrgetter("darts"), self.vertices)))
         return DegreeVector(f=self.f, v=dict(counts))
 
     # -- serialization ----------------------------------------------------
@@ -280,7 +285,10 @@ def build(
     glue_table: Iterable[tuple[SlotSpec, SlotSpec]],
     orient: Sequence[int] | None = None,
 ) -> TilingMap:
-    """Build and validate a TilingMap from 2f slot pairs."""
+    """Build and validate a TilingMap from 2f slot pairs.  The vertices
+    are walked by s = sigma[s] over two per-dart tables made once, four
+    entries per tile t by its orientation bit o: the corner (p + o) & 3 of
+    t where dart 4t + p starts, and sigma, face_next gathered at glue."""
     if f < 1:
         raise TilingError(f"tile count must be positive, got {f}")
     if f % 2:
@@ -294,13 +302,14 @@ def build(
             raise TilingError(
                 f"orientation bit of tile {t} must be 0 or 1, got {x!r}")
 
-    glue = [-1] * (4 * f)
+    n = 4 * f
+    glue = [-1] * n
     for (spec1, spec2) in glue_table:
         s1 = TilingMap.slot(*spec1)
         s2 = TilingMap.slot(*spec2)
-        for s in (s1, s2):
-            if not 0 <= s < 4 * f:
-                raise TilingError(f"slot out of range: {s}")
+        if not (0 <= s1 < n and 0 <= s2 < n):
+            raise TilingError(
+                f"slot out of range: {s2 if 0 <= s1 < n else s1}")
         if s1 == s2:
             raise InvolutionError(f"slot glued to itself: {_slot_name(s1)}")
         if glue[s1] != -1 or glue[s2] != -1:
@@ -311,8 +320,8 @@ def build(
                 f"edge label mismatch: {_slot_name(s1)} ({EDGE_LABELS[s1 % 4]})"
                 f" glued to {_slot_name(s2)} ({EDGE_LABELS[s2 % 4]})")
         glue[s1], glue[s2] = s2, s1
-    missing = [s for s in range(4 * f) if glue[s] == -1]
-    if missing:
+    if -1 in glue:
+        missing = [s for s in range(n) if glue[s] == -1]
         raise InvolutionError(
             f"unglued slots: {[_slot_name(s) for s in missing[:8]]}")
 
@@ -328,32 +337,40 @@ def build(
         raise DisconnectedError(
             f"map is disconnected: reached {len(order)} of {f} tiles")
 
-    # the sigma orbits, each from its least dart, in order of that dart
-    vertex_of = [-1] * (4 * f)
-    vertices = []
-    for s0 in range(4 * f):
-        darts, s = [], s0
-        while vertex_of[s] < 0:
-            vertex_of[s] = len(vertices)
-            darts.append(s)
-            s = _face_next(orient_bits, glue[s])
-        if darts:
-            c = tuple((d % 4 + orient_bits[d // 4]) % 4 for d in darts)
-            vertices.append(VertexCycle(tuple(darts), c, VertexSignature(
-                c.count(0), c.count(1), c.count(2), c.count(3))))
+    # face_next(4t + p) = 4t + p + step; n = 4f >= 8, so each gather
+    # returns a tuple
+    corner = list(chain.from_iterable(
+        map(((0, 1, 2, 3), (1, 2, 3, 0)).__getitem__, orient_bits)))
+    steps = chain.from_iterable(
+        map(((1, 1, 1, -3), (3, -1, -1, -1)).__getitem__, orient_bits))
+    sigma = itemgetter(*glue)(list(map(add, range(n), steps)))
 
-    v = len(vertices)
+    # the sigma orbits, each from its least dart, in order of that dart,
+    # walked into one dart list; orbit k starts at walk[starts[k]]
+    vertex_of = [-1] * n
+    walk, starts = [], []
+    for s0 in range(n):
+        if vertex_of[s0] < 0:
+            k, s = len(starts), s0
+            starts.append(len(walk))
+            while vertex_of[s] < 0:
+                vertex_of[s] = k
+                walk.append(s)
+                s = sigma[s]
+    v = len(starts)
     if v - 2 * f + f != 2:
         raise EulerError(
             f"Euler characteristic v - e + f = {v - 2 * f + f}, expected 2")
+
+    corners, walk = itemgetter(*walk)(corner), tuple(walk)
+    vertices = []
+    for i, j in zip(starts, starts[1:] + [n]):
+        c = corners[i:j]
+        vertices.append(VertexCycle(walk[i:j], c, VertexSignature(
+            c.count(0), c.count(1), c.count(2), c.count(3))))
     return TilingMap(f=f, glue=tuple(glue), orient=orient_bits,
                      vertices=tuple(vertices), vertex_of=tuple(vertex_of),
                      tree=tuple(tree))
-
-
-def _face_next(orient: Sequence[int], slot: int) -> int:
-    t, p = divmod(slot, 4)
-    return 4 * t + (p - 1 if orient[t] else p + 1) % 4
 
 
 def _slot_name(slot: int) -> str:
@@ -362,7 +379,7 @@ def _slot_name(slot: int) -> str:
 
 def extract_avc(m: TilingMap) -> Counter[VertexSignature]:
     """Vertex signatures with multiplicities."""
-    return Counter(v.signature for v in m.vertices)
+    return Counter(map(attrgetter("signature"), m.vertices))
 
 
 def balance_pair_counts(m: TilingMap) -> tuple[int, int, int, int, int, int]:
@@ -371,17 +388,17 @@ def balance_pair_counts(m: TilingMap) -> tuple[int, int, int, int, int, int]:
     Returns (n_gg_c, n_gd_c, n_dd_c, n_bb_b, n_bg_b, n_gg_b): for each c-edge
     endpoint the two flanking corners are gamma or delta; for each b-edge
     endpoint they are beta or gamma.
+
+    Where b- or c-dart s = 4t + p starts, corner p + o_t of tile t and
+    corner p + 1 - o_u of the tile u glued to s (where sigma(s) starts)
+    flank it: bits (o_t, o_u) = (0, 1) give c gamma-gamma or b beta-beta,
+    (1, 0) delta-delta or gamma-gamma, equal bits one corner of each.
     """
-    # (slot, lesser corner, greater corner) of each b-dart (slot 1 = BC)
-    # and c-dart (2 = CD), flanked by its corner and the next dart's
-    counts: Counter[tuple[int, int, int]] = Counter()
-    for v in m.vertices:
-        c = v.corners
-        for s, c1, c2 in zip(v.darts, c, c[1:] + c[:1]):
-            if s % 4 in (1, 2):
-                counts[s % 4, min(c1, c2), max(c1, c2)] += 1
-    return (counts[2, 2, 2], counts[2, 2, 3], counts[2, 3, 3],
-            counts[1, 1, 1], counts[1, 1, 2], counts[1, 2, 2])
+    orient, glue = m.orient, m.glue
+    b = Counter(zip(orient, [orient[u >> 2] for u in glue[1::4]]))
+    c = Counter(zip(orient, [orient[u >> 2] for u in glue[2::4]]))
+    return (c[0, 1], c[0, 0] + c[1, 1], c[1, 0],
+            b[0, 1], b[0, 0] + b[1, 1], b[1, 0])
 
 
 def verify(
@@ -394,13 +411,15 @@ def verify(
     if f is not None:
         report.add("tile count", m.f == f, f"map has f={m.f}, expected {f}")
 
-    report.add("glue involution",
-               all(m.glue[m.glue[s]] == s and m.glue[s] != s
-                   for s in range(4 * m.f)))
-    report.add("edge labels", all(
-        EDGE_LABELS[s % 4] == EDGE_LABELS[m.glue[s] % 4]
-        for s in range(4 * m.f)))
-    report.add("edge counts e_a = f, e_b = e_c = f/2", _edge_counts_ok(m))
+    # gathers at the glue table (f >= 2, so each returns a tuple)
+    glue, slots, labels = m.glue, range(4 * m.f), EDGE_LABELS * m.f
+    report.add("glue involution", itemgetter(*glue)(glue) == tuple(slots)
+               and not any(map(eq, glue, slots)))
+    report.add("edge labels", itemgetter(*glue)(labels) == labels)
+    # the label of each edge's smaller slot
+    edges = Counter(compress(labels, map(lt, slots, glue)))
+    report.add("edge counts e_a = f, e_b = e_c = f/2", edges["a"] == m.f
+               and edges["b"] == edges["c"] == m.f // 2)
 
     avc = extract_avc(m)
     if isinstance(expected, Mapping):
@@ -435,12 +454,6 @@ def verify(
     report.add("#alpha = #beta = #gamma = #delta = f",
                all(x == m.f for x in sig_total), f"totals {sig_total}")
     return report
-
-
-def _edge_counts_ok(m: TilingMap) -> bool:
-    counts = Counter(EDGE_LABELS[s % 4] for s, _ in m.edges())
-    return (counts["a"] == m.f and counts["b"] == m.f // 2
-            and counts["c"] == m.f // 2)
 
 
 def format_avc(avc: Mapping[VertexSignature, int]) -> str:

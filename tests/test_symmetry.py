@@ -26,7 +26,14 @@ from quadtile.symmetry import (
     classify,
     vertex_bisecting_cycles,
 )
-from quadtile.tilingmap import TilingError, TilingMap, build
+from quadtile.tilingmap import (
+    TilingError,
+    TilingMap,
+    balance_pair_counts,
+    build,
+    extract_avc,
+    verify,
+)
 
 
 class TestGroupStructure:
@@ -469,6 +476,13 @@ class TestSmallMapsFreeAction(TestFreeAction):
 SMALL_GOLDEN = (
     "3f631610eac1b0658441d54d2e91e501596469517ceab990d2dd72da7cdece66")
 
+#: digest of each small map's vertex table (darts, corners, signature per
+#: vertex), vertex_of, tree, canonical form, balance_pair_counts,
+#: degree_vector and verify report, recorded before build walked its sigma
+#: and corner tables
+SMALL_TABLES_GOLDEN = (
+    "2fc78f238d2d30663f163a7a62cfc8b315633f36642578865fe6b638f408f9df")
+
 
 class TestSmallMaps:
     def test_count(self, small_maps):
@@ -483,6 +497,29 @@ class TestSmallMaps:
         assert _digest(got) == SMALL_GOLDEN
         names = {classify(m).name for m in small_maps}
         assert {"C_s", "C_2h", "C_2v", "S_2"} <= names
+
+    def test_tables_and_forms(self, small_maps):
+        # [DERIVED] what build walks, the form read from it and the counts
+        # verify reads, per map
+        got = [([(v.darts, v.corners, tuple(v.signature)) for v in m.vertices],
+                m.vertex_of, m.tree, m.canonical_form(),
+                balance_pair_counts(m), m.degree_vector(),
+                str(verify(m, extract_avc(m)))) for m in small_maps]
+        assert _digest(got) == SMALL_TABLES_GOLDEN
+
+    def test_balance_reads_vertex_cycles(self, small_maps):
+        # [DERIVED] the counts from orientation bits equal the counts read
+        # around each vertex cycle, corner by corner
+        for m in small_maps:
+            counts = Counter()
+            for v in m.vertices:
+                c = v.corners
+                for s, c1, c2 in zip(v.darts, c, c[1:] + c[:1]):
+                    if s % 4 in (1, 2):
+                        counts[s % 4, min(c1, c2), max(c1, c2)] += 1
+            assert balance_pair_counts(m) == (
+                counts[2, 2, 2], counts[2, 2, 3], counts[2, 3, 3],
+                counts[1, 1, 1], counts[1, 1, 2], counts[1, 2, 2])
 
 
 class TestGeometricCrossCheck:

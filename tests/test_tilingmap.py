@@ -31,11 +31,14 @@ def sig(text: str) -> VertexSignature:
     return VertexSignature.parse(text)
 
 
+#: the two-tile map's glue entries
+TWO_TILE_PAIRS = [((0, "AB"), (1, "AB")), ((0, "BC"), (1, "BC")),
+                  ((0, "CD"), (1, "CD")), ((0, "DA"), (1, "DA"))]
+
+
 def two_tile_map() -> TilingMap:
     # [TRIVIAL] the smallest legal gluing: two tiles, matching labels
-    pairs = [((0, "AB"), (1, "AB")), ((0, "BC"), (1, "BC")),
-             ((0, "CD"), (1, "CD")), ((0, "DA"), (1, "DA"))]
-    return build(2, pairs, orient=[0, 1])
+    return build(2, TWO_TILE_PAIRS, orient=[0, 1])
 
 
 #: glue entries with a slot out of 0-3 (on f = 2, [0, 4, 0, 0] would read
@@ -53,6 +56,55 @@ BAD_GLUE_IDS = ["slot-5", "slot-4", "float-tile", "bool-tile", "float-slot",
 BAD_ORIENTS = [["0"] * 6, [], [None] * 6, [2] * 6, [True] * 6, [0] * 5]
 BAD_ORIENT_IDS = ["str-bits", "empty-bits", "null-bits", "bit-2",
                   "bool-bits", "short-bits"]
+
+
+#: one malformed input per check of ``build``, in the order build makes
+#: them, each also failing a later check where one can be added; the class
+#: and message are those build raised before its dart tables
+BUILD_ERRORS = [
+    pytest.param(-1, [], None, TilingError,
+                 "tile count must be positive, got -1", id="f-below-1"),
+    pytest.param(3, [], [0, 0], EulerError,
+                 "f must be even (f = 2 e_b forces it), got 3", id="odd-f"),
+    pytest.param(2, [((0, "XY"), (1, "AB"))], [2], TilingError,
+                 "orientation bits must cover every tile", id="orient-length"),
+    pytest.param(2, [((0, "XY"), (1, "AB"))], [0, 2], TilingError,
+                 "orientation bit of tile 1 must be 0 or 1, got 2",
+                 id="orient-bit"),
+    pytest.param(2, [((5, "AB"), (0, "XY"))] + TWO_TILE_PAIRS[1:], [0, 1],
+                 TilingError, "bad glue entry: tile 0, slot 'XY'",
+                 id="bad-glue-entry"),
+    # the second slot alone out of range, and an a-slot glued to a b-slot
+    pytest.param(2, [((0, "AB"), (2, "BC"))], [0, 1], TilingError,
+                 "slot out of range: 9", id="slot-out-of-range"),
+    # both out of range: the first is named
+    pytest.param(2, [((-1, "AB"), (2, "AB"))], [0, 1], TilingError,
+                 "slot out of range: -4", id="slots-out-of-range"),
+    pytest.param(2, [((0, "AB"), (1, "AB")), ((0, "AB"), (0, "AB"))],
+                 [0, 1], InvolutionError,
+                 "slot glued to itself: tile 0 slot AB", id="self-glue"),
+    # both slots of the entry glued before: the first is named (in
+    # test_not_involution only the second was)
+    pytest.param(2, [((0, "AB"), (1, "AB")), ((0, "DA"), (1, "DA")),
+                     ((0, "AB"), (1, "DA"))], [0, 1], InvolutionError,
+                 "slot glued twice: tile 0 slot AB", id="glued-twice"),
+    pytest.param(2, [((0, "AB"), (1, "BC"))], [0, 1], LabelMismatchError,
+                 "edge label mismatch: tile 0 slot AB (a) glued to tile 1 "
+                 "slot BC (b)", id="label-mismatch"),
+    pytest.param(4, TWO_TILE_PAIRS, [0, 1, 0, 1], InvolutionError,
+                 "unglued slots: ['tile 2 slot AB', 'tile 2 slot BC', "
+                 "'tile 2 slot CD', 'tile 2 slot DA', 'tile 3 slot AB', "
+                 "'tile 3 slot BC', 'tile 3 slot CD', 'tile 3 slot DA']",
+                 id="unglued"),
+    # two tori: disconnected, and v - e + f = 0
+    pytest.param(4, [((b, s), (b + 1, s)) for b in (0, 2)
+                     for s in ("AB", "BC", "CD", "DA")], [0] * 4,
+                 DisconnectedError, "map is disconnected: reached 2 of 4 "
+                 "tiles", id="disconnected"),
+    pytest.param(2, [((0, s), (1, s)) for s in ("AB", "BC", "CD", "DA")],
+                 [0, 0], EulerError,
+                 "Euler characteristic v - e + f = 0, expected 2", id="euler"),
+]
 
 
 def reversed_tiles(m: TilingMap) -> TilingMap:
@@ -85,11 +137,22 @@ class TestBuild:
             build(2, pairs, orient=[0, 1])
 
     def test_not_involution(self):
-        # [TRIVIAL] a slot used twice
+        # [TRIVIAL] a slot used twice; the entry that reuses it also glues
+        # a b-slot to an a-slot, but the reuse is found first
         pairs = [((0, "AB"), (1, "AB")), ((0, "BC"), (1, "AB")),
                  ((0, "CD"), (1, "CD")), ((0, "DA"), (1, "DA"))]
-        with pytest.raises((InvolutionError, LabelMismatchError)):
+        with pytest.raises(InvolutionError) as info:
             build(2, pairs, orient=[0, 1])
+        assert str(info.value) == "slot glued twice: tile 1 slot AB"
+
+    @pytest.mark.parametrize("f,pairs,orient,error,message", BUILD_ERRORS)
+    def test_error_order(self, f, pairs, orient, error, message):
+        # [TRIVIAL] each input also breaks the checks after its own, so the
+        # error raised pins both the check's message and its place
+        with pytest.raises(TilingError) as info:
+            build(f, pairs, orient=orient)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_disconnected(self):
         # [TRIVIAL] two separate two-tile components
