@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -38,17 +37,18 @@ def _frac(x: int | Fraction) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class AngleExpr:
-    """An angle c0*pi + c1*pi/f with rational coefficients."""
+class AngleExpr(NamedTuple("_AngleExprFields",
+                            [("c0", Fraction), ("c1", Fraction)])):
+    """An angle c0*pi + c1*pi/f with rational coefficients, stored as
+    Fractions by the constructor and by ``_make`` (so by ``_replace``)."""
 
-    c0: Fraction = _ZERO
-    c1: Fraction = _ZERO
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.c0) is not Fraction or type(self.c1) is not Fraction:
-            object.__setattr__(self, "c0", _frac(self.c0))
-            object.__setattr__(self, "c1", _frac(self.c1))
+    def __new__(cls, c0: int | Fraction = _ZERO,
+                c1: int | Fraction = _ZERO) -> "AngleExpr":
+        return tuple.__new__(cls, (_frac(c0), _frac(c1)))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @staticmethod
     def pi(coeff: int | Fraction = 1) -> "AngleExpr":
@@ -175,8 +175,7 @@ def vertex_sum_residual(
                 for e, a in zip(sig, angles)), Fraction(-2))
 
 
-@dataclass(frozen=True)
-class AngleSolution:
+class AngleSolution(NamedTuple):
     """Solution of a vertex angle-sum system.
 
     kind is 'unique', 'parametric', or 'infeasible'.  For unique solutions,

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .angles import AffineAngles, AngleExpr, VertexSignature, solve_affine
 
@@ -76,8 +75,7 @@ def _signatures_of_degree(k: int) -> list[VertexSignature]:
     return sorted(out, key=catalog_sort_key)
 
 
-@dataclass(frozen=True)
-class DegreeVector:
+class DegreeVector(NamedTuple):
     """Counts of degree-h vertices, h >= 3, for a tiling with f tiles."""
 
     f: int
@@ -88,12 +86,21 @@ class DegreeVector:
         return sum(self.v.values())
 
 
-@dataclass
 class CheckReport:
     """Named pass/fail checks in the order they were made, each with an
-    optional detail shown only when the check fails."""
+    optional detail shown only when the check fails; not a named tuple
+    like the other records, since ``add`` appends to its list."""
 
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[tuple[str, bool, str]] | None = None):
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other: object) -> bool:  # leaves __hash__ None
+        return isinstance(other, CheckReport) and self.checks == other.checks
+
+    def __repr__(self) -> str:
+        return f"CheckReport(checks={self.checks!r})"
 
     @property
     def passed(self) -> bool:
@@ -200,8 +207,7 @@ def _multiplicity_vectors(
     return rec(0, {}, f, f, f, f, f + 2)
 
 
-@dataclass(frozen=True)
-class AVCCandidate:
+class AVCCandidate(NamedTuple):
     """A candidate AVC: signatures with multiplicities, the solved angles,
     and a flag for combinations known to admit no tiling."""
 

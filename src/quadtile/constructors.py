@@ -7,8 +7,7 @@ re-checked on every call, so any transcription drift fails loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .angles import VertexSignature
 from .combinatorics import angles_feasible, parity_admissible
@@ -247,8 +246,7 @@ def _prism_subdivision() -> TilingMap:
 # Time zone decomposition and flip modification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimeZoneDisk:
+class TimeZoneDisk(NamedTuple):
     """One time zone of an earth-map-style tiling, viewed as a disk.
 
     ``tiles`` lists the member tiles, ``boundary`` the (tile, slot) sequence

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .angles import ANGLE_NAMES
 from .combinatorics import CheckReport
@@ -74,11 +73,7 @@ class DegeneracyWarning(UserWarning):
     """Parameters are close to a degenerate (edge-coincidence) locus."""
 
 
-@dataclass(frozen=True)
-class SphericalQuad:
-    """A spherical quadrilateral with edges AB = DA = a, BC = b, CD = c and
-    interior angles alpha, beta, gamma, delta at corners A, B, C, D."""
-
+class _QuadFields(NamedTuple):
     a: float
     b: float
     c: float
@@ -87,9 +82,21 @@ class SphericalQuad:
     gamma: float
     delta: float
 
-    def __post_init__(self) -> None:
-        _check_open_turn(a=self.a, b=self.b, c=self.c, alpha=self.alpha,
-                         beta=self.beta, gamma=self.gamma, delta=self.delta)
+
+class SphericalQuad(_QuadFields):
+    """A spherical quadrilateral with edges AB = DA = a, BC = b, CD = c and
+    interior angles alpha, beta, gamma, delta at corners A, B, C, D, each
+    in (0, 2*pi) as the constructor and ``_make`` (so ``_replace``) check."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float, c: float, alpha: float, beta: float,
+                gamma: float, delta: float) -> "SphericalQuad":
+        _check_open_turn(a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
+                         delta=delta)
+        return tuple.__new__(cls, (a, b, c, alpha, beta, gamma, delta))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def angles(self) -> tuple[float, float, float, float]:
@@ -432,8 +439,7 @@ def convexity_bounds(q: SphericalQuad, f: int) -> CheckReport:
 # Realization on the unit sphere
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """Unit-sphere embedding of a TilingMap: coordinates per vertex, the
     vertex ids at each tile's corners, and closure diagnostics."""
 

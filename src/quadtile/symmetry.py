@@ -9,9 +9,9 @@ therefore a faithful model of the tiling's isometry group on the sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import eq, itemgetter
+from typing import NamedTuple
 
 from .tilingmap import EDGE_LABELS, TilingMap
 
@@ -23,8 +23,7 @@ __all__ = [
     "classify",
 ]
 
-@dataclass(frozen=True)
-class MapAutomorphism:
+class MapAutomorphism(NamedTuple):
     """A label-preserving symmetry: tile permutation plus orientation type.
 
     ``reversing`` is True when the symmetry is orientation-reversing on the
@@ -192,8 +191,7 @@ def _canonical_cycle(
 # Point-group classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymmetryClass:
+class SymmetryClass(NamedTuple):
     """Schoenflies classification of the automorphism group."""
 
     name: str

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import add, attrgetter, eq, itemgetter, lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -88,19 +87,34 @@ class VertexCycle(NamedTuple):
         return len(self.darts)
 
 
-@dataclass(frozen=True)
-class TilingMap:
+class TilingMap(NamedTuple):
     """Immutable validated tiling map; ``vertex_of[s]`` is the index in
     ``vertices`` of the vertex at the start of dart s.  ``tree``, a
     spanning tree, lists each tile but 0 in breadth-first order from tile 0
-    by the dart through which the walk first enters it."""
+    by the dart through which the walk first enters it.  The last three
+    fields follow from the first three, so a map equals and hashes as
+    ``(f, glue, orient)``, and its repr leaves out ``vertex_of`` and
+    ``tree``."""
 
     f: int
     glue: tuple[int, ...]
     orient: tuple[int, ...]
-    vertices: tuple[VertexCycle, ...] = field(compare=False)
-    vertex_of: tuple[int, ...] = field(compare=False, repr=False)
-    tree: tuple[int, ...] = field(compare=False, repr=False)
+    vertices: tuple[VertexCycle, ...]
+    vertex_of: tuple[int, ...]
+    tree: tuple[int, ...]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TilingMap) and self[:3] == other[:3]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+    def __repr__(self) -> str:
+        return (f"TilingMap(f={self.f!r}, glue={self.glue!r}, "
+                f"orient={self.orient!r}, vertices={self.vertices!r})")
 
     # -- slot helpers -----------------------------------------------------
 

@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# End-to-end checks of the quadtile command: every subcommand runs, the two
+# flip families (flip_segment -> build -> verify -> classify) get their
+# expected symmetry groups, and error cases exit 2 for a usage error and 1
+# for a realization that fails (pi/3 makes the delta^4 vertex 4pi/3).
+# Run it in an empty directory, which receives the maps and exports:
+#   bash tests/console_script.sh                                  # installed
+#   QUADTILE="python -m quadtile.cli" bash tests/console_script.sh  # source
+# QUADTILE is split into words, so its parts must not contain spaces.
+set -eux
+qt() { ${QUADTILE:-quadtile} "$@"; }
+
+qt construct pq-emt --f 16 -o pq16.json
+qt construct subdivision --base cube -o cube.json
+qt construct subdivision --base octahedron -o oct.json
+cmp cube.json oct.json
+qt verify pq16.json
+qt avc-search --f 8 --max-degree 40
+qt realize pq16.json --quad family --obj pq16.obj --svg pq16.svg
+qt symmetry pq16.json --generators
+qt construct alphadelta --f 24 -o ad24.json
+qt verify ad24.json
+qt symmetry ad24.json > ad24.txt
+grep -qx "D_2, order 4" ad24.txt
+qt construct beta2delta --f 24 -o b2d24.json
+qt verify b2d24.json
+qt symmetry b2d24.json > b2d24.txt
+grep -qx "C_2, order 2" b2d24.txt
+code=0; qt verify missing.json || code=$?; test "$code" -eq 2
+code=0; qt construct earth-map --f 7 || code=$?; test "$code" -eq 2
+code=0; qt realize pq16.json || code=$?; test "$code" -eq 2
+code=0; qt construct pq-emt --f 16 -o "" || code=$?; test "$code" -eq 2
+code=0; qt realize pq16.json --quad family --obj bad.obj --svg "" \
+    || code=$?; test "$code" -eq 2
+test ! -s bad.obj
+code=0; qt realize pq16.json --delta pi/3 --obj fail.obj || code=$?
+test "$code" -eq 1
+test ! -s fail.obj

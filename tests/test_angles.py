@@ -70,8 +70,9 @@ class TestVertexSignature:
 
     def test_tuple_behaviour(self):
         # [TRIVIAL] repr, str, hash and order are those recorded while the
-        # signature was a dataclass hashing its exponent tuple; it now also
-        # equals that plain tuple
+        # signature was a dataclass hashing its exponent tuple; as a named
+        # tuple, like every record but CheckReport, it also equals that
+        # plain tuple
         sigs = [VertexSignature(1, 2, 0, 0), VertexSignature(0, 0, 0, 0),
                 VertexSignature(3, 0, 0, 0), VertexSignature(0, 1, 1, 1),
                 VertexSignature(2, 0, 0, 1), VertexSignature(0, 2, 2, 2)]

@@ -556,13 +556,29 @@ print("numpy" in sys.modules)
         # [DERIVED] NumPy is a test dependency, so a stray import would
         # load it; no subcommand does. construct, verify, symmetry and
         # avc-search never touch geometry; realize loads it, exports and
-        # succeeds
+        # succeeds. The records are named tuples, so no subcommand pays for
+        # importing dataclasses and the inspect module it loads
         assert importlib.util.find_spec("numpy") is not None
+        slow = {"numpy", "dataclasses", "inspect"}
         for argv in (["construct", "pq-emt", "--f", "16", "-o", "m.json"],
                      ["verify", "m.json"], ["symmetry", "m.json"],
                      ["avc-search", "--f", "6"]):
             loaded = self.cli_imports(tmp_path, *argv)
-            assert not loaded & {"numpy", "quadtile.geometry"}, argv
+            assert not loaded & (slow | {"quadtile.geometry"}), argv
         loaded = self.cli_imports(tmp_path, "realize", "m.json", "--quad",
                                   "family", "--obj", "m.obj", "--svg", "m.svg")
-        assert "quadtile.geometry" in loaded and "numpy" not in loaded
+        assert "quadtile.geometry" in loaded and not loaded & slow
+
+
+def test_console_script(tmp_path):
+    # [DERIVED] the console-script checks that CI runs on the installed
+    # command, here through ``python -m quadtile.cli``: every subcommand,
+    # the flip families' symmetry groups and the error exit codes
+    script = Path(__file__).with_name("console_script.sh")
+    src = str(Path(quadtile.__file__).resolve().parents[1])
+    env = dict(os.environ, QUADTILE=f"{sys.executable} -m quadtile.cli",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(["bash", str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

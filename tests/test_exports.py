@@ -3,11 +3,33 @@
 import ast
 import importlib
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import quadtile
+from quadtile import (
+    AngleExpr,
+    AngleSolution,
+    AVCCandidate,
+    CheckReport,
+    DegreeVector,
+    GeometryError,
+    MapAutomorphism,
+    Realization,
+    SphericalQuad,
+    SymmetryClass,
+    TilingMap,
+    VertexSignature,
+    automorphisms,
+    classify,
+    closed_form_family,
+    decompose_time_zones,
+    pq_earth_map,
+    quad_subdivide,
+    search_avcs,
+)
 
 MODULES = ["quadtile"] + [
     f"quadtile.{info.name}" for info in pkgutil.iter_modules(quadtile.__path__)]
@@ -135,3 +157,146 @@ def test_unused_import_check():
     assert _unused_imports(
         "from typing import List\nfrom x import y\n__all__ = ['y']\n"
         "def f(a: 'List[int]') -> None: pass\n") == []
+
+
+#: record class -> its fields in order; ``==`` and ``hash`` read them all,
+#: except for the classes in COMPARED_FIELDS
+RECORD_FIELDS = {
+    "AngleExpr": ("c0", "c1"),
+    "AngleSolution": ("kind", "assignment", "free", "relations", "pinned_f"),
+    "DegreeVector": ("f", "v"),
+    "AVCCandidate": ("f", "signatures", "multiplicities", "angles",
+                     "known_unrealizable"),
+    "TilingMap": ("f", "glue", "orient", "vertices", "vertex_of", "tree"),
+    "TimeZoneDisk": ("tiles", "boundary", "flipped"),
+    "SphericalQuad": ("a", "b", "c", "alpha", "beta", "gamma", "delta"),
+    "Realization": ("map", "quad", "coords", "tile_corners", "max_mismatch",
+                    "area_sum"),
+    "MapAutomorphism": ("perm", "reversing"),
+    "SymmetryClass": ("name", "order", "principal_axis_order", "paper_label",
+                      "mirror_count", "has_inversion",
+                      "has_horizontal_mirror"),
+}
+COMPARED_FIELDS = {"TilingMap": ("f", "glue", "orient")}
+UNHASHABLE = {"DegreeVector"}  # its ``v`` is a dict
+
+
+@pytest.fixture(scope="module")
+def records():
+    """Record class name -> (a record, an equal one, a different one)."""
+    m, cube = pq_earth_map(16), quad_subdivide("cube")
+    q = closed_form_family(16)
+    zones = decompose_time_zones(m)
+    real = (m, q, ((0.0, 0.0, 1.0),), ((0, 0, 0, 0),), 0.0, 1.0)
+    candidate = (6, (VertexSignature(3, 0, 0, 0), VertexSignature(0, 1, 1, 1)),
+                 (2, 6), None)
+    return {
+        "AngleExpr": (AngleExpr(1), AngleExpr(Fraction(1), 0),
+                      AngleExpr(1, 1)),
+        "AngleSolution": (AngleSolution("infeasible"),
+                          AngleSolution("infeasible", None, (), None, None),
+                          AngleSolution("infeasible", pinned_f=Fraction(24))),
+        "DegreeVector": (m.degree_vector(), DegreeVector(16, {3: 8, 4: 10}),
+                         cube.degree_vector()),
+        "AVCCandidate": (search_avcs(6)[0], AVCCandidate(*candidate),
+                         AVCCandidate(*candidate, known_unrealizable=True)),
+        "TilingMap": (m, TilingMap(m.f, m.glue, m.orient, (), (), ()), cube),
+        "TimeZoneDisk": (zones[0], decompose_time_zones(m)[0], zones[1]),
+        "SphericalQuad": (q, closed_form_family(16), closed_form_family(24)),
+        "Realization": (Realization(*real), Realization(*real),
+                        Realization(*real[:5], 2.0)),
+        "MapAutomorphism": (automorphisms(m)[1],
+                            MapAutomorphism(tuple(range(7, -1, -1))
+                                            + tuple(range(15, 7, -1)), False),
+                            automorphisms(m)[2]),
+        "SymmetryClass": (classify(m),
+                          SymmetryClass("D_2d", 8, 2, "D_{2v}", 2),
+                          classify(cube)),
+    }
+
+
+def test_record_behaviour(records):
+    # [TRIVIAL] repr, ==, != and hash of one record of each class, as
+    # recorded while the records were dataclasses: equality and hashing
+    # read the compared fields as a tuple, and TilingMap compares and hashes
+    # (f, glue, orient) alone and leaves vertex_of and tree out of its repr
+    reprs = {name: repr(x) for name, (x, _, _) in records.items()}
+    m = records["TilingMap"][0]
+    assert reprs.pop("TilingMap") == (
+        f"TilingMap(f=16, glue={m.glue!r}, orient={m.orient!r}, "
+        f"vertices={m.vertices!r})")
+    assert reprs.pop("Realization") == (
+        f"Realization(map={m!r}, quad={reprs['SphericalQuad']}, "
+        "coords=((0.0, 0.0, 1.0),), tile_corners=((0, 0, 0, 0),), "
+        "max_mismatch=0.0, area_sum=1.0)")
+    assert reprs == {
+        "AngleExpr": "AngleExpr(c0=Fraction(1, 1), c1=Fraction(0, 1))",
+        "AngleSolution": "AngleSolution(kind='infeasible', assignment=None, "
+                         "free=(), relations=None, pinned_f=None)",
+        "DegreeVector": "DegreeVector(f=16, v={4: 10, 3: 8})",
+        "AVCCandidate": "AVCCandidate(f=6, signatures=(VertexSignature(a=3, "
+                        "b=0, c=0, d=0), VertexSignature(a=0, b=1, c=1, d=1)), "
+                        "multiplicities=(2, 6), angles=None, "
+                        "known_unrealizable=False)",
+        "TimeZoneDisk": "TimeZoneDisk(tiles=(0, 1, 2, 3, 4, 5, 6, 7), "
+                        "boundary=((0, 'AB'), (2, 'AB'), (2, 'DA'), (6, 'DA'), "
+                        "(7, 'DA'), (7, 'AB'), (5, 'AB'), (5, 'DA'), "
+                        "(1, 'DA'), (0, 'DA')), flipped=False)",
+        "SphericalQuad": "SphericalQuad(a=0.9045568943023814, "
+                         "b=0.5073563032171444, c=1.1185178796437059, "
+                         "alpha=1.5707963267948966, beta=2.356194490192345, "
+                         "gamma=1.5707963267948966, delta=1.5707963267948966)",
+        "MapAutomorphism": "MapAutomorphism(perm=(7, 6, 5, 4, 3, 2, 1, 0, 15, "
+                           "14, 13, 12, 11, 10, 9, 8), reversing=False)",
+        "SymmetryClass": "SymmetryClass(name='D_2d', order=8, "
+                         "principal_axis_order=2, paper_label='D_{2v}', "
+                         "mirror_count=2, has_inversion=False, "
+                         "has_horizontal_mirror=False)",
+    }
+    for name, (x, same, other) in records.items():
+        assert x is not same and x == same and not x != same, name
+        assert x != other and not x == other, name
+        if name in UNHASHABLE:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(x)
+            continue
+        compared = tuple(getattr(x, f) for f in COMPARED_FIELDS.get(
+            name, RECORD_FIELDS[name]))
+        assert hash(x) == hash(same) == hash(compared), name
+        assert hash(x) != hash(other), name
+
+
+def test_record_checks(records):
+    # [TRIVIAL] a record's construction check also runs on the replace path
+    x = AngleExpr(1)
+    assert type(x.c0) is type(x.c1) is Fraction
+    y = x._replace(c1=2)
+    assert type(y.c1) is Fraction and y == AngleExpr(1, 2)
+    q = records["SphericalQuad"][0]
+    for bad in ({"a": -1.0}, {"delta": 7.0}):
+        (name, value), = bad.items()
+        message = rf"^{name} = {value!r} outside \(0, 2\*pi\)$"
+        with pytest.raises(GeometryError, match=message):
+            SphericalQuad(**{**q._asdict(), **bad})
+        with pytest.raises(GeometryError, match=message):
+            q._replace(**bad)
+    first, second = CheckReport(), CheckReport()
+    first.add("x", False, "why")
+    assert second.checks == [] and second != first
+    assert first == CheckReport([("x", False, "why")])
+    assert repr(first) == "CheckReport(checks=[('x', False, 'why')])"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)
+
+
+def test_records_are_tuples(records):
+    # [TRIVIAL] the deliberate change from the dataclasses: each record is a
+    # named tuple of its fields, so it iterates and indexes, carries no
+    # __dict__, and equals the plain tuple of its fields; a TilingMap
+    # equals only a map
+    for name, (x, _, _) in records.items():
+        fields = tuple(getattr(x, f) for f in RECORD_FIELDS[name])
+        assert x._fields == RECORD_FIELDS[name], name
+        assert tuple(x) == fields and x[0] is fields[0], name
+        assert not hasattr(x, "__dict__"), name
+        assert (x == fields) is (name != "TilingMap"), name

@@ -1,6 +1,5 @@
 """Numeric spherical geometry: closed forms, solver, lune, realization."""
 
-import dataclasses
 import functools
 import hashlib
 import math
@@ -47,8 +46,8 @@ REFLEX_QUAD = solve_edges(math.pi / 2, math.pi / 20, 3 * math.pi / 2,
                           9 * math.pi / 20)[0]
 
 #: the f=24 family quad with edge a lengthened by 0.05: it cannot close up
-PERTURBED_QUAD = dataclasses.replace(closed_form_family(24),
-                                     a=closed_form_family(24).a + 0.05)
+PERTURBED_QUAD = closed_form_family(24)._replace(
+    a=closed_form_family(24).a + 0.05)
 
 
 class TestClosedForms:
