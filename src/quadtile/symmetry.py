@@ -9,7 +9,9 @@ therefore a faithful model of the tiling's isometry group on the sphere.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
+from math import gcd
 from operator import eq, itemgetter
 from typing import NamedTuple
 
@@ -60,36 +62,62 @@ class MapAutomorphism(NamedTuple):
 
 
 def automorphisms(m: TilingMap) -> list[MapAutomorphism]:
-    """The full automorphism group, by seeded propagation.
+    """The full automorphism group, sorted: ``_generators(m)`` closed under
+    composition.  A new list on every call, though the generators are
+    searched once per map."""
+    gens, identity = _generators(m), MapAutomorphism(tuple(range(m.f)), False)
+    group, queue = {0: identity}, [identity]  # image of tile 0 -> element
+    for g in queue:  # grows while it is walked
+        for s in gens:
+            image = s.perm[g.perm[0]]  # of tile 0 under s after g
+            if image not in group:
+                group[image] = h = s.compose(g)
+                queue.append(h)
+    return sorted(group.values(), key=lambda g: (g.reversing, g.perm))
+
+
+@lru_cache(maxsize=1)
+def _generators(m: TilingMap) -> tuple[MapAutomorphism, ...]:
+    """Generators of the automorphism group, by seeded propagation, kept
+    for the last map searched (equal maps have equal groups).
 
     An automorphism is fixed by the image of tile 0, and the orientation
-    bits of tile 0 and its image say whether it reverses orientation.  For
-    each candidate image not yet reached, the permutation is forced along
-    the map's spanning tree; a candidate survives iff the forced map
-    commutes with the gluing.  Each survivor is a new generator, and the
-    group found so far is closed under composition with the generators, so
-    only a few images need the propagation.
+    bits of tile 0 and its image say whether it reverses orientation.  It
+    sends each corner of tile 0 to the same corner of the image, so their
+    vertex signatures match.  From each such image outside tile 0's orbit
+    under the generators so far, the permutation is forced along the map's
+    spanning tree; if it commutes with the gluing, it is a new generator.
     """
-    # image of tile 0 -> element
-    group = {0: MapAutomorphism(tuple(range(m.f)), False)}
-    tile_darts = _tile_darts(m.f)
+    sigs, vertex_of, orient = ([v.signature for v in m.vertices],
+                               m.vertex_of, m.orient)
+
+    def corners(t: int) -> list:  # corner (p + o) & 3 starts dart 4t + p
+        return [sigs[vertex_of[4 * t + ((c - orient[t]) & 3)]]
+                for c in range(4)]
+
+    tile0, tile_darts = corners(0), _tile_darts(m.f)
     gens: list[MapAutomorphism] = []
+    orbit, reached = [0], [True] + [False] * (m.f - 1)
     for target in range(m.f):
-        if target in group:
+        if reached[target] or corners(target) != tile0:
             continue
-        reversing = m.orient[target] != m.orient[0]
+        reversing = orient[target] != orient[0]
         perm = _propagate(m, target, reversing, tile_darts)
-        if perm is None:
-            continue
-        gens.append(MapAutomorphism(perm, reversing))
-        queue = list(group.values())
-        for g in queue:  # grows while it is walked
-            for s in gens:
-                image = s.perm[g.perm[0]]  # of tile 0 under s after g
-                if image not in group:
-                    group[image] = h = s.compose(g)
-                    queue.append(h)
-    return sorted(group.values(), key=lambda g: (g.reversing, g.perm))
+        if perm is not None:
+            gens.append(MapAutomorphism(perm, reversing))
+            _close(orbit, [g.perm for g in gens], reached)
+    return tuple(gens)
+
+
+def _close(orbit: list[int], perms: list[tuple[int, ...]],
+           reached: list[bool]) -> None:
+    """Extend ``orbit``, whose tiles ``reached`` marks, by the images of
+    its tiles under ``perms`` until it is an orbit of their group."""
+    for t in orbit:  # grows while it is walked
+        for perm in perms:
+            if not reached[perm[t]]:
+                reached[perm[t]] = True
+                orbit.append(perm[t])
 
 
 def _propagate(
@@ -191,6 +219,26 @@ def _canonical_cycle(
 # Point-group classification
 # ---------------------------------------------------------------------------
 
+def _orders(preserving: list[MapAutomorphism]) -> list[int]:
+    """Each element's order, walking tile 0's orbit once per cyclic
+    subgroup not yet met: an element is fixed by its image of tile 0, so
+    if g walks 0, t_1, ..., t_{n-1}, the element sending 0 to t_k is g^k,
+    of order n / gcd(n, k)."""
+    index = {g.perm[0]: i for i, g in enumerate(preserving)}
+    orders = [0] * len(preserving)
+    for i, g in enumerate(preserving):
+        if orders[i]:
+            continue
+        walk, t = [0], g.perm[0]
+        while t:
+            walk.append(t)
+            t = g.perm[t]
+        n = len(walk)
+        for k, t in enumerate(walk):
+            orders[index[t]] = n // gcd(n, k)
+    return orders
+
+
 class SymmetryClass(NamedTuple):
     """Schoenflies classification of the automorphism group."""
 
@@ -223,11 +271,11 @@ def classify(m: TilingMap) -> SymmetryClass:
     preserving = [g for g in group if not g.reversing]
     reversing = [g for g in group if g.reversing]
     np_ = len(preserving)
-    orders = [g.order() for g in preserving]
+    orders = _orders(preserving)
 
     mirrors, has_inv, tile_darts = [], False, _tile_darts(m.f)
     for g in reversing:
-        if g.order() != 2:
+        if g.perm[g.perm[0]]:  # g^2 moves tile 0: order above 2
             continue
         images = chain.from_iterable(itemgetter(*g.perm)(tile_darts))
         if any(map(eq, images, m.glue)):

@@ -209,28 +209,24 @@ class TilingMap(NamedTuple):
         (the mirror image) is not one of these relabelings: a chiral map
         and its mirror image have different forms.
 
-        Not every pair is relabeled in full (after nauty's automorphism
-        pruning, McKay & Piperno 2014).  Each pair streams its glue_desc
-        and stops at the first entry above the best form so far; orient_desc
-        is compared only after glue_desc ties.  A full tie between pairs
-        (s, x) and (s', x') is a symmetry of the map: tile order[i] goes to
-        order'[i], with mirror bit x ^ x'.  Every such symmetry merges the
-        (tile, flip) nodes it relates in a union-find, and a pair whose
-        component already holds a relabeled pair is skipped, since pairs in
-        one orbit of the symmetries give the same form.  The result is the
-        minimum over all pairs, as if each were relabeled in full.
+        Only one seed per orbit of the automorphism group is relabeled
+        (nauty's automorphism pruning, McKay & Piperno 2014), for both
+        flips; the orbits are walked along the generators that
+        ``symmetry._generators`` finds, never the whole group.  An
+        automorphism keeps every slot, so a seed's image relabels to the
+        same glue_desc, with every orientation bit toggled if it reverses
+        orientation: then the orbit's least orient_desc is the seed's or
+        its complement, whichever starts with 0.  Each pair streams its
+        glue_desc and stops at the first entry above the best form so far;
+        orient_desc is compared only after glue_desc ties.  The result is
+        the minimum over all pairs, as if each were relabeled in full.
         """
-        f, glue, orient = self.f, self.glue, self.orient
-        # union-find over nodes 2 * tile + flip; ``done[root]`` marks a
-        # component that holds an already relabeled pair
-        parent = list(range(2 * f))
-        done = [False] * (2 * f)
+        from .symmetry import _close, _generators
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+        f, glue, orient = self.f, self.glue, self.orient
+        gens = _generators(self)
+        perms = [g.perm for g in gens]
+        reversing = any(g.reversing for g in gens)
 
         def relabel(seed: int, flip: int, best: list[int]):
             """(glue_desc codes, tile order, whether the codes tie best), or
@@ -258,33 +254,24 @@ class TilingMap(NamedTuple):
 
         best: list[int] = []
         best_orient: list[int] = []
-        best_order: list[int] = []
-        best_flip = 0
+        reached = [False] * f
         for seed in range(f):
+            if reached[seed]:
+                continue
+            reached[seed] = True
+            _close([seed], perms, reached)
             for flip in (0, 1):
-                root = find(2 * seed + flip)
-                if done[root]:
-                    continue
-                done[root] = True
                 run = relabel(seed, flip, best)
                 if run is None:
                     continue
                 codes, order, tied = run
-                bits = [orient[t] ^ flip for t in order]
-                if tied and bits > best_orient:
-                    continue
-                if tied and bits == best_orient:
-                    mirror = flip ^ best_flip
-                    for t, t2 in zip(best_order, order):
-                        for x in (0, 1):
-                            a = find(2 * t + x)
-                            b = find(2 * t2 + (x ^ mirror))
-                            if a != b:
-                                parent[a] = b
-                                done[b] = done[b] or done[a]
+                # bit k is orient[order[k]] ^ flip, complemented to start
+                # with 0 when some automorphism reverses orientation
+                x = orient[seed] if reversing else flip
+                bits = [orient[t] ^ x for t in order]
+                if tied and bits >= best_orient:
                     continue
                 best, best_orient = codes, bits
-                best_order, best_flip = order, flip
         return (f, tuple((c >> 2, c & 3) for c in best), tuple(best_orient))
 
     def is_isomorphic(self, other: "TilingMap") -> bool:

@@ -1,5 +1,7 @@
 """Fixtures shared across test modules."""
 
+import itertools
+
 import pytest
 
 from quadtile.combinatorics import search_avcs
@@ -9,6 +11,7 @@ from quadtile.constructors import (
     flip_segment,
     pq_earth_map,
 )
+from quadtile.tilingmap import TilingError, build
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +39,33 @@ def flip_outputs():
                         continue
                     out[f].append((half, start, count, flipped))
     return out
+
+
+def _matchings(slots):
+    """Every perfect matching of the slots, as lists of pairs."""
+    if not slots:
+        yield []
+        return
+    first, rest = slots[0], slots[1:]
+    for i, other in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + tail
+
+
+@pytest.fixture(scope="session")
+def small_maps():
+    """Every map that build accepts with f <= 4 and tile 0 ccw: the
+    a-slots (AB, DA), the b-slots (BC) and the c-slots (CD) each matched
+    among themselves in every way, under every orientation of the other
+    tiles (3 at f = 2; 732 of the 105 * 3 * 3 * 8 at f = 4)."""
+    maps = []
+    for f in (2, 4):
+        by_label = [list(_matchings([(t, p) for t in range(f) for p in ps]))
+                    for ps in ((0, 3), (1,), (2,))]
+        for a, b, c in itertools.product(*by_label):
+            for bits in itertools.product((0, 1), repeat=f - 1):
+                try:
+                    maps.append(build(f, a + b + c, orient=(0, *bits)))
+                except TilingError:
+                    pass
+    return maps

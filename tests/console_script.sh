@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# End-to-end checks of the quadtile command: every subcommand runs, the two
-# flip families (flip_segment -> build -> verify -> classify) get their
-# expected symmetry groups, and error cases exit 2 for a usage error and 1
+# End-to-end checks of the quadtile command: every subcommand runs,
+# `symmetry --generators` lists every group element of pq16 (8) and of the
+# cube (24), the two flip families (flip_segment -> build -> verify ->
+# classify) get their expected symmetry groups, and error cases exit 2 for
+# a usage error and 1
 # for a realization that fails (pi/3 makes the delta^4 vertex 4pi/3).
 # Run it in an empty directory, which receives the maps and exports:
 #   bash tests/console_script.sh                                  # installed
@@ -17,7 +19,11 @@ cmp cube.json oct.json
 qt verify pq16.json
 qt avc-search --f 8 --max-degree 40
 qt realize pq16.json --quad family --obj pq16.obj --svg pq16.svg
-qt symmetry pq16.json --generators
+qt symmetry pq16.json --generators > pq16.txt
+test "$(grep -cE '^(preserving|reversing) order' pq16.txt)" -eq 8
+qt symmetry cube.json --generators > cube.txt
+grep -qx "T_h, order 24" cube.txt
+test "$(grep -cE '^(preserving|reversing) order' cube.txt)" -eq 24
 qt construct alphadelta --f 24 -o ad24.json
 qt verify ad24.json
 qt symmetry ad24.json > ad24.txt

@@ -16,6 +16,7 @@ from quadtile.constructors import (
     pq_earth_map,
     quad_subdivide,
 )
+from quadtile import symmetry
 from quadtile.symmetry import automorphisms, classify
 from quadtile.tilingmap import SLOT_NAMES, TilingMap, extract_avc
 
@@ -214,17 +215,57 @@ def _every_seed_form(m: TilingMap) -> tuple:
     return min(forms)
 
 
+def _mirror(m: TilingMap) -> TilingMap:
+    """The mirror image: the same glue with every orientation bit toggled."""
+    return TilingMap.from_json(json.dumps(
+        {**json.loads(m.to_json()), "orient": [1 - o for o in m.orient]}))
+
+
+#: the chiral maps: each differs from its mirror image
+CHIRAL = [("family_beta2delta", 24), ("family_alphadelta", 24),
+          ("quad_subdivide", "triangular_prism")]
+
+
 class TestCanonicalForm:
     @pytest.mark.parametrize("name,arg", [
         ("pq_earth_map", 16), ("earth_map", 10), ("family_alphadelta", 24),
-        ("family_beta2delta", 24), ("quad_subdivide", "triangular_prism")])
+        ("family_beta2delta", 24), ("quad_subdivide", "triangular_prism"),
+        ("quad_subdivide", "cube")])
     def test_matches_every_seed_definition(self, name, arg):
         # [DERIVED] the pruned search returns the exhaustive minimum, also
-        # on relabellings and on the flip modifications of pq_earth_map(24)
+        # on relabellings and on the flip modifications of pq_earth_map(24);
+        # the cube and pq_earth_map(16) have reversing automorphisms, and
+        # the cube ties seeds under the b<->c flip
         maps = [_build(name, arg)]
         maps.append(relabel(maps[0], 5))
         for m in maps:
             assert m.canonical_form() == _every_seed_form(m)
+
+    @pytest.mark.parametrize("name,arg", CHIRAL)
+    def test_mirror_image_matches_every_seed_definition(self, name, arg):
+        # [DERIVED] the mirror image of a chiral map, and a relabelling
+        mirror = _mirror(_build(name, arg))
+        for m in (mirror, relabel(mirror, 5)):
+            assert m.canonical_form() == _every_seed_form(m)
+
+    def test_small_maps_match_every_seed_definition(self, small_maps):
+        # [DERIVED] every map with f <= 4, of every symmetry class
+        for m in small_maps:
+            assert m.canonical_form() == _every_seed_form(m)
+
+    def test_never_builds_the_group(self, monkeypatch):
+        # [DERIVED] the orbits come from the generators alone: with the
+        # group's closure and composition disabled, every form is still
+        # the golden one
+        def refuse(*args):
+            raise AssertionError("canonical_form built the group")
+
+        monkeypatch.setattr(symmetry, "automorphisms", refuse)
+        monkeypatch.setattr(symmetry.MapAutomorphism, "compose", refuse)
+        symmetry._generators.cache_clear()
+        for name, arg in GOLDEN:
+            m = _build(name, arg)
+            assert _digest(m.canonical_form()) == GOLDEN[name, arg][0]
 
     def test_flip_modifications_match_definition(self):
         m = pq_earth_map(24)
@@ -241,12 +282,8 @@ class TestCanonicalForm:
     def test_mirror_image_of_chiral_map(self):
         # [DERIVED] flipping every orientation bit is not identified with
         # the map: a chiral map and its mirror image have different forms
-        for m in (quadtile.family_beta2delta(24),
-                  quadtile.family_alphadelta(24),
-                  quad_subdivide("triangular_prism")):
-            mirror = TilingMap.from_json(json.dumps(
-                {**json.loads(m.to_json()),
-                 "orient": [1 - o for o in m.orient]}))
-            assert not m.is_isomorphic(mirror)
+        for name, arg in CHIRAL:
+            m = _build(name, arg)
+            assert not m.is_isomorphic(_mirror(m))
         m = pq_earth_map(16)
         assert m.is_isomorphic(flip_segment(m, 0, 2))

@@ -557,17 +557,22 @@ print("numpy" in sys.modules)
         # load it; no subcommand does. construct, verify, symmetry and
         # avc-search never touch geometry; realize loads it, exports and
         # succeeds. The records are named tuples, so no subcommand pays for
-        # importing dataclasses and the inspect module it loads
+        # importing dataclasses and the inspect module it loads. Only
+        # symmetry loads quadtile.symmetry, which canonical_form imports
+        # when it runs
         assert importlib.util.find_spec("numpy") is not None
         slow = {"numpy", "dataclasses", "inspect"}
         for argv in (["construct", "pq-emt", "--f", "16", "-o", "m.json"],
+                     ["construct", "alphadelta", "--f", "24", "-o", "a.json"],
                      ["verify", "m.json"], ["symmetry", "m.json"],
                      ["avc-search", "--f", "6"]):
             loaded = self.cli_imports(tmp_path, *argv)
             assert not loaded & (slow | {"quadtile.geometry"}), argv
+            assert ("quadtile.symmetry" in loaded) == (argv[0] == "symmetry")
         loaded = self.cli_imports(tmp_path, "realize", "m.json", "--quad",
                                   "family", "--obj", "m.obj", "--svg", "m.svg")
         assert "quadtile.geometry" in loaded and not loaded & slow
+        assert "quadtile.symmetry" not in loaded
 
 
 def test_console_script(tmp_path):

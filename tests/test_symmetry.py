@@ -1,15 +1,13 @@
 """Combinatorial automorphisms, point-group classification, mirror traces."""
 
 import hashlib
-import itertools
-import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from test_canonical import GOLDEN, relabel
+from test_canonical import GOLDEN, _mirror, relabel
 
 import quadtile
 from quadtile.constructors import (
@@ -20,17 +18,18 @@ from quadtile.constructors import (
     quad_subdivide,
 )
 from quadtile.geometry import closed_form_cube_subdivision, closed_form_family, realize
+from quadtile.cli import main
 from quadtile.symmetry import (
     MapAutomorphism,
+    _generators,
+    _orders,
     automorphisms,
     classify,
     vertex_bisecting_cycles,
 )
 from quadtile.tilingmap import (
-    TilingError,
     TilingMap,
     balance_pair_counts,
-    build,
     extract_avc,
     verify,
 )
@@ -65,13 +64,60 @@ class TestGroupStructure:
         ids=["cube", "pq16", "em8", "alphadelta24", "beta2delta24", "pq64",
              "em64"])
     def test_order_by_definition(self, m):
-        # [DERIVED] order() is the least k >= 1 with g^k the identity
-        for g in automorphisms(m):
+        # [DERIVED] order() is the least k >= 1 with g^k the identity, and
+        # classify's one walk per cyclic subgroup reads the same orders
+        group = automorphisms(m)
+        for g in group:
             k, power = 1, g
             while not power.is_identity:
                 power = power.compose(g)
                 k += 1
             assert g.order() == k
+        preserving = [g for g in group if not g.reversing]
+        assert _orders(preserving) == [g.order() for g in preserving]
+
+
+class TestGeneratorMemo:
+    """The generators are searched once per map and shared by
+    canonical_form, classify and automorphisms."""
+
+    def test_new_list_each_call(self):
+        # [TRIVIAL] mutating a result does not change the next one
+        m = quad_subdivide("cube")
+        first = automorphisms(m)
+        want = list(first)
+        first.clear()
+        assert automorphisms(m) == want and len(want) == 24
+
+    def test_equal_maps_equal_generators(self):
+        # [DERIVED] two maps built apart are equal, so they share the
+        # search, and a fresh search gives them the same generators
+        m1, m2 = pq_earth_map(16), pq_earth_map(16)
+        assert m1 is not m2
+        _generators.cache_clear()
+        gens = _generators(m1)
+        assert _generators(m2) is gens
+        _generators.cache_clear()
+        assert _generators(m2) == gens
+
+    def test_holds_one_entry(self):
+        # [TRIVIAL] the memo keeps only the last map's generators
+        for m in (pq_earth_map(16), earth_map(8), quad_subdivide("cube")):
+            m.canonical_form()
+            classify(m)
+        info = _generators.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+
+    def test_one_search_per_cli_symmetry(self, capsys, tmp_path):
+        # [DERIVED] classify and the --generators listing share one search
+        path = tmp_path / "cube.json"
+        path.write_text(quad_subdivide("cube").to_json())
+        _generators.cache_clear()
+        assert main(["symmetry", str(path), "--generators"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert _generators.cache_info().misses == 1
+        assert sum(line.startswith(("preserving order", "reversing order"))
+                   for line in out) == 24
 
 
 class TestClassification:
@@ -152,13 +198,6 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def _mirror(m):
-    """The mirror image: the same glue with every orientation bit toggled."""
-    data = json.loads(m.to_json())
-    data["orient"] = [1 - bit for bit in data["orient"]]
-    return TilingMap.from_json(json.dumps(data))
-
-
 # (constructor, argument) of the canonical-form goldens -> digest of the
 # traces of the map, of relabel(map, 3) and of its mirror image.  No map
 # that build accepts has an edge twice in one vertex fan (a loop), so
@@ -220,36 +259,6 @@ class TestGoldenTraces:
         lines = [(half, start, count, vertex_bisecting_cycles(flipped))
                  for half, start, count, flipped in flip_outputs[f]]
         assert _digest(lines) == FLIP_TRACE_GOLDEN[f]
-
-
-def _matchings(slots):
-    """Every perfect matching of the slots, as lists of pairs."""
-    if not slots:
-        yield []
-        return
-    first, rest = slots[0], slots[1:]
-    for i, other in enumerate(rest):
-        for tail in _matchings(rest[:i] + rest[i + 1:]):
-            yield [(first, other)] + tail
-
-
-@pytest.fixture(scope="module")
-def small_maps():
-    """Every map that build accepts with f <= 4 and tile 0 ccw: the
-    a-slots (AB, DA), the b-slots (BC) and the c-slots (CD) each matched
-    among themselves in every way, under every orientation of the other
-    tiles (3 at f = 2; 732 of the 105 * 3 * 3 * 8 at f = 4)."""
-    maps = []
-    for f in (2, 4):
-        by_label = [list(_matchings([(t, p) for t in range(f) for p in ps]))
-                    for ps in ((0, 3), (1,), (2,))]
-        for a, b, c in itertools.product(*by_label):
-            for bits in itertools.product((0, 1), repeat=f - 1):
-                try:
-                    maps.append(build(f, a + b + c, orient=(0, *bits)))
-                except TilingError:
-                    pass
-    return maps
 
 
 def _reference_traces(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
