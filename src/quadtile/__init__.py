@@ -13,13 +13,15 @@ __version__ = "0.1.0"
 
 #: submodule -> the public names it exports at package level
 _EXPORTS = {
+    "vertex": (
+        "CheckReport", "DegreeVector", "VertexSignature",
+        "counting_identities", "parity_admissible"),
     "angles": (
-        "AffineAngles", "AngleExpr", "AngleSolution", "VertexSignature",
-        "solve_affine", "solve_angle_system"),
+        "AffineAngles", "AngleExpr", "AngleSolution", "solve_affine",
+        "solve_angle_system"),
     "combinatorics": (
-        "AVCCandidate", "CheckReport", "DegreeVector", "angles_feasible",
-        "avc_feasibility", "counting_identities", "degree_vertex_catalog",
-        "parity_admissible", "search_avcs"),
+        "AVCCandidate", "angles_feasible", "avc_feasibility",
+        "degree_vertex_catalog", "search_avcs"),
     "constructors": (
         "DomainError", "FlipInvalidError", "TimeZoneDisk",
         "decompose_time_zones", "earth_map", "family_alphadelta",
@@ -30,11 +32,9 @@ _EXPORTS = {
         "GeometryError", "Realization", "SingularityError", "SphericalQuad",
         "area", "closed_form_cube_subdivision", "closed_form_family",
         "convexity_bounds", "degeneracy_loci", "export_obj", "export_svg",
-        "holonomy_residual", "lune_quad", "realize", "solve_edges",
-        "trig_residuals"),
+        "holonomy_residual", "lune_quad", "realize", "solve_edges"),
     "symmetry": (
-        "MapAutomorphism", "SymmetryClass", "automorphisms", "classify",
-        "vertex_bisecting_cycles"),
+        "MapAutomorphism", "SymmetryClass", "automorphisms", "classify"),
     "tilingmap": (
         "TilingError", "TilingMap", "balance_pair_counts", "build",
         "extract_avc", "verify"),

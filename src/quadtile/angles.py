@@ -3,16 +3,18 @@
 Tile angles are affine rational expressions in the basis {pi, pi/f}, where f
 is the (even, >= 6) number of tiles.  Vertex angle-sum systems are solved
 exactly over the rationals, with f kept symbolic; some systems pin f to a
-concrete value, which is reported on the solution.
+concrete value, which is reported on the solution.  ``VertexSignature``
+and ``ANGLE_NAMES`` live in ``vertex`` and are re-exported here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+from .vertex import ANGLE_NAMES, VertexSignature
 
 __all__ = [
     "AngleExpr",
@@ -26,10 +28,6 @@ __all__ = [
     "solve_affine",
 ]
 
-ANGLE_NAMES = ("alpha", "beta", "gamma", "delta")
-
-_GREEK = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}
-_SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _ZERO = Fraction(0)
 
 
@@ -77,13 +75,6 @@ class AngleExpr(NamedTuple("_AngleExprFields",
         """Exact value divided by pi, at a concrete f."""
         return self.c0 + self.c1 / _frac(f)
 
-    def eval(self, f: int | Fraction) -> float:
-        """Numeric value in radians at a concrete f."""
-        return float(self.coefficient_of_pi(f)) * math.pi
-
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0
-
     def __str__(self) -> str:
         terms = []
         if self.c0:
@@ -108,56 +99,6 @@ def _pi_term(coeff: Fraction, unit: str) -> str:
     else:
         body = f"{head}π" if den == 1 else f"{head}π/{den}"
     return sign + body
-
-
-class VertexSignature(NamedTuple):
-    """Exponent vector alpha^a beta^b gamma^c delta^d of a vertex; it
-    hashes, compares and sorts as the plain tuple (a, b, c, d)."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @property
-    def degree(self) -> int:
-        return self.a + self.b + self.c + self.d
-
-    @property
-    def exponents(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
-    def __str__(self) -> str:
-        parts = []
-        for name, e in zip(ANGLE_NAMES, self):
-            if e == 1:
-                parts.append(_GREEK[name])
-            elif e > 1:
-                parts.append(_GREEK[name] + str(e).translate(_SUPERSCRIPTS))
-        return "".join(parts) or "1"
-
-    @staticmethod
-    def parse(text: str) -> "VertexSignature":
-        """Parse 'αβ²', 'ab2', 'a1b2', 'alpha beta^2'-style signature text."""
-        s = text.strip().lower()
-        for name, g in _GREEK.items():
-            s = s.replace(g, name[0])
-        s = s.replace("alpha", "a").replace("beta", "b")
-        s = s.replace("gamma", "g").replace("delta", "d")
-        s = s.translate(_SUPERSCRIPTS_INV)
-        s = re.sub(r"[\s^*]", "", s)
-        if not re.fullmatch(r"([abgd]\d*)+", s):
-            raise ValueError(f"cannot parse vertex signature: {text!r}")
-        exps = {"a": 0, "b": 0, "g": 0, "d": 0}
-        for letter, digits in re.findall(r"([abgd])(\d*)", s):
-            exps[letter] += int(digits) if digits else 1
-        sig = VertexSignature(exps["a"], exps["b"], exps["g"], exps["d"])
-        if not sig.degree:
-            raise ValueError(f"vertex signature of degree 0: {text!r}")
-        return sig
-
-
-_SUPERSCRIPTS_INV = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
 
 
 def quad_sum_residual(

@@ -10,9 +10,17 @@ and opens its ``--obj`` and ``--svg`` files before it realizes the map.
 A realization closes or fails against the fixed ``geometry.TOL_REALIZE``
 (1e-6).
 
-Each subcommand imports the library layer it runs when it is called, so
-importing this module loads no ``quadtile`` submodule, and only
-``realize`` loads ``quadtile.geometry``.
+Each subcommand imports the library layers it runs when it is called, so
+importing this module loads no ``quadtile`` submodule.  The subcommands
+load these submodules:
+
+- ``verify``: ``vertex``, ``tilingmap``;
+- ``construct``: ``vertex``, ``tilingmap``, ``constructors``, and for the
+  flip families ``alphadelta`` and ``beta2delta`` also ``angles`` and
+  ``combinatorics``, which check each flip's angle system;
+- ``symmetry``: ``vertex``, ``tilingmap``, ``symmetry``;
+- ``realize``: ``vertex``, ``tilingmap``, ``geometry``;
+- ``avc-search``: ``vertex``, ``angles``, ``combinatorics``.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ def _parse_angle(text: str) -> float:
 def _parse_avc(text: str) -> Counter | list:
     """Parse 'αβ²,α²δ²,γ⁴,δ⁶' (a list of VertexSignature) or 'αβ²×8,γ⁴×4,...'
     (a Counter of them)."""
-    from .angles import VertexSignature
+    from .vertex import VertexSignature
 
     parts = [p for p in re.split(r"[,;]", text) if p.strip()]
     if not parts:

@@ -1,5 +1,7 @@
-"""Vertex catalog, parity/balance predicates, counting identities, and the
-anglewise-vertex-combination (AVC) feasibility search.
+"""Vertex catalog, count-balance screen, and the anglewise-vertex-
+combination (AVC) feasibility search.  The parity rule, catalog order,
+degree vectors, counting identities and report type live in ``vertex``
+and are re-exported here.
 """
 
 from __future__ import annotations
@@ -7,9 +9,17 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .angles import AffineAngles, AngleExpr, VertexSignature, solve_affine
+from .angles import AffineAngles, AngleExpr, solve_affine
+from .vertex import (
+    CheckReport,
+    DegreeVector,
+    VertexSignature,
+    catalog_sort_key,
+    counting_identities,
+    parity_admissible,
+)
 
 __all__ = [
     "parity_admissible",
@@ -26,35 +36,11 @@ __all__ = [
 ]
 
 
-def parity_admissible(sig: VertexSignature) -> bool:
-    """Whether the signature can occur at a vertex (degree >= 3 and the
-    allowed exponent-parity shapes)."""
-    a, b, c, d = sig
-    if sig.degree < 3:
-        return False
-    if a > 0:
-        if b % 2 or c % 2 or d % 2:
-            return False
-        if c > 0 and b == 0 and d == 0:
-            return False  # alpha^a gamma^c is never a vertex
-        if b > 0 and c > 0 and d > 0:
-            return False  # no vertex contains all four angles
-        return True
-    if b % 2 == 0 and c % 2 == 0 and d % 2 == 0:
-        return True
-    return b % 2 == 1 and c % 2 == 1 and d % 2 == 1 and b > 0 and c > 0 and d > 0
-
-
 def angles_feasible(signatures: Iterable[VertexSignature], f: int) -> bool:
     """Whether the vertex angle-sum system admits angle values in (0, 2pi)
     with at most one reflex angle (and beta != delta unless gamma = pi)."""
     node = solve_affine(signatures, include_quad_sum=True, f=f)
     return node is not None and _node_witness(node)
-
-
-def catalog_sort_key(sig: VertexSignature) -> tuple:
-    """Deterministic catalog order: by degree, then descending exponents."""
-    return (sig.degree, -sig.a, -sig.b, -sig.c, -sig.d)
 
 
 def degree_vertex_catalog(k: int) -> list[VertexSignature]:
@@ -73,75 +59,6 @@ def _signatures_of_degree(k: int) -> list[VertexSignature]:
                 if parity_admissible(sig):
                     out.append(sig)
     return sorted(out, key=catalog_sort_key)
-
-
-class DegreeVector(NamedTuple):
-    """Counts of degree-h vertices, h >= 3, for a tiling with f tiles."""
-
-    f: int
-    v: Mapping[int, int]
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.v.values())
-
-
-class CheckReport:
-    """Named pass/fail checks in the order they were made, each with an
-    optional detail shown only when the check fails; not a named tuple
-    like the other records, since ``add`` appends to its list."""
-
-    __slots__ = ("checks",)
-
-    def __init__(self, checks: list[tuple[str, bool, str]] | None = None):
-        self.checks = [] if checks is None else checks
-
-    def __eq__(self, other: object) -> bool:  # leaves __hash__ None
-        return isinstance(other, CheckReport) and self.checks == other.checks
-
-    def __repr__(self) -> str:
-        return f"CheckReport(checks={self.checks!r})"
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    @property
-    def failures(self) -> list[str]:
-        """``"name: detail"`` per failed check, or ``"name"`` without one."""
-        return [f"{name}: {detail}" if detail else name
-                for name, ok, detail in self.checks if not ok]
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, ok, detail))
-
-    def __str__(self) -> str:
-        lines = []
-        for name, ok, detail in self.checks:
-            mark = "PASS" if ok else "FAIL"
-            suffix = f" ({detail})" if detail and not ok else ""
-            lines.append(f"[{mark}] {name}{suffix}")
-        return "\n".join(lines)
-
-
-def counting_identities(dv: DegreeVector) -> CheckReport:
-    """Check the Euler-derived counting identities for a degree vector."""
-    report = CheckReport()
-    f = dv.f
-    v3 = dv.v.get(3, 0)
-    high = {h: n for h, n in dv.v.items() if h >= 4}
-    report.add("all degree counts nonnegative",
-               all(n >= 0 for n in dv.v.values()) and all(h >= 3 for h in dv.v))
-    report.add("f even", f % 2 == 0)
-    report.add("v3 = 8 + sum (h-4) v_h",
-               v3 == 8 + sum((h - 4) * n for h, n in high.items()))
-    report.add("f = 6 + sum (h-3) v_h",
-               f == 6 + sum((h - 3) * n for h, n in high.items()))
-    e = 2 * f
-    v = dv.vertex_count
-    report.add("sum h v_h = 2e", sum(h * n for h, n in dv.v.items()) == 2 * e)
-    report.add("v - e + f = 2", v - e + f == 2)
-    return report
 
 
 def avc_feasibility(

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .angles import VertexSignature
-from .combinatorics import angles_feasible, parity_admissible
 from .tilingmap import (
     EDGE_LABELS,
     SLOT_NAMES,
@@ -19,6 +17,7 @@ from .tilingmap import (
     build,
     verify,
 )
+from .vertex import VertexSignature, parity_admissible
 
 __all__ = [
     "DomainError",
@@ -308,8 +307,11 @@ def _flip_tiles(m: TilingMap, tiles: Iterable[int]) -> TilingMap:
     regluing is returned: the rebuilt map must have parity-admissible
     vertex signatures with an exactly feasible angle system, and must not
     be isomorphic to the input (which would be a mere re-rotation, not a
-    flip).
+    flip).  Only the flip families load the angle solver, so it is
+    imported here rather than with the module.
     """
+    from .combinatorics import angles_feasible
+
     tiles = set(tiles)
     sb = _boundary_darts(m, tiles)
     n = len(sb)

@@ -11,9 +11,8 @@ import math
 import warnings
 from typing import Iterator, NamedTuple
 
-from .angles import ANGLE_NAMES
-from .combinatorics import CheckReport
 from .tilingmap import EDGE_LABELS, TilingMap, extract_avc, verify
+from .vertex import ANGLE_NAMES, CheckReport
 
 #: a point or direction in three-space
 Vec = tuple[float, float, float]
@@ -27,7 +26,6 @@ __all__ = [
     "SphericalQuad",
     "Realization",
     "holonomy_residual",
-    "trig_residuals",
     "solve_edges",
     "closed_form_family",
     "closed_form_cube_subdivision",
@@ -172,19 +170,6 @@ def _linear_terms(
             + math.cos(alpha) * math.cos(beta) * math.sin(delta)
             + math.cos(delta) * sin_b)
     return n_b, n_c
-
-
-def trig_residuals(q: SphericalQuad) -> tuple[float, float, float]:
-    """Residuals of the three edge equations: the quadratic in cos a, the
-    linear relation for cos b, and the linear relation for cos c."""
-    al, be, ga, de = q.angles
-    ca, cb, cc = math.cos(q.a), math.cos(q.b), math.cos(q.c)
-    A, B, C = _trig_coefficients(al, be, ga, de)
-    r_a = A * ca * ca + B * ca + C
-    n_b, n_c = _linear_terms(ca, al, be, ga, de)
-    r_b = cb * math.sin(be) * math.sin(ga) - n_b
-    r_c = math.sin(ga) * cc - n_c
-    return (r_a, r_b, r_c)
 
 
 def solve_edges(
@@ -449,9 +434,6 @@ class Realization(NamedTuple):
     tile_corners: tuple[tuple[int, int, int, int], ...]
     max_mismatch: float
     area_sum: float
-
-    def corner_point(self, tile: int, corner: int) -> Vec:
-        return self.coords[self.tile_corners[tile][corner]]
 
 
 def _dot(x: Vec, y: Vec) -> float:

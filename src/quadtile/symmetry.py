@@ -15,13 +15,12 @@ from math import gcd
 from operator import eq, itemgetter
 from typing import NamedTuple
 
-from .tilingmap import EDGE_LABELS, TilingMap
+from .tilingmap import TilingMap
 
 __all__ = [
     "MapAutomorphism",
     "SymmetryClass",
     "automorphisms",
-    "vertex_bisecting_cycles",
     "classify",
 ]
 
@@ -34,11 +33,6 @@ class MapAutomorphism(NamedTuple):
 
     perm: tuple[int, ...]
     reversing: bool
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.reversing and all(
-            p == i for i, p in enumerate(self.perm))
 
     def order(self) -> int:
         """The length of tile 0's orbit, which all tile cycles share on a
@@ -150,69 +144,6 @@ def _tile_darts(f: int) -> list[tuple[int, int, int, int]]:
     """Each tile t's darts 4t..4t + 3: gathered at a tile permutation and
     chained, they are its dart images, dart 4t + p going to 4 perm[t] + p."""
     return [(d, d + 1, d + 2, d + 3) for d in range(0, 4 * f, 4)]
-
-
-# ---------------------------------------------------------------------------
-# Vertex bisecting cycles (candidate mirror traces)
-# ---------------------------------------------------------------------------
-
-def vertex_bisecting_cycles(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
-    """All closed edge cycles whose edges bisect every vertex they pass
-    through (the two incident cycle edges split the vertex fan into two
-    label-wise mirror-equal halves).  These are the only candidate traces of
-    mirror planes.
-
-    Only opposite edges, d/2 apart at even degree d, leave equally many
-    edges on either side.  Their edge labels alone decide whether the halves
-    mirror: the wedge between neighbouring edges is the tile corner they
-    bound, fixed by their two labels (a/a alpha, a/b beta, b/c gamma, c/a
-    delta).
-
-    A trace arriving along dart s leaves along ``opposite[s]``, so a step
-    is s -> glue[opposite[s]], the composite of two involutions and so
-    injective: the walk from a dart comes back to it, closing a trace, or
-    stops at a dart with no opposite, and needs no stop rule.  It never
-    turns back (that would glue a dart to itself), and no trace has one
-    edge, which would be a loop: a map on the sphere whose faces are all
-    quadrilaterals is bipartite.  Each trace is walked once, from its first
-    dart met; its reverse runs through the glued partners of its darts.
-    """
-    glue = m.glue
-    opposite: dict[int, int] = {}
-    for cycle in m.vertices:
-        darts, d = cycle.darts, cycle.degree
-        if d % 2:
-            continue
-        ring = [EDGE_LABELS[s % 4] for s in darts]
-        for i in range(d // 2):
-            if all(ring[i + u] == ring[i - u] for u in range(1, d // 2)):
-                s, t = darts[i], darts[i + d // 2]
-                opposite[s], opposite[t] = t, s
-
-    cycles: list[tuple[tuple[int, int], ...]] = []
-    traced: set[int] = set()
-    for start in opposite:
-        if start in traced:
-            continue
-        walk, s = [start], glue[opposite[start]]
-        while s != start and s in opposite:
-            walk.append(s)
-            s = glue[opposite[s]]
-        if s == start:
-            traced.update(walk, (glue[s] for s in walk))
-            cycles.append(_canonical_cycle(
-                [(min(s, glue[s]), max(s, glue[s])) for s in walk]))
-    return sorted(cycles)
-
-
-def _canonical_cycle(
-    path: list[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """The least rotation or reversal of a cycle of distinct edges: it
-    starts at the least edge, in the smaller of the two directions."""
-    i = path.index(min(path))
-    seq = tuple(path[i:] + path[:i])
-    return min(seq, seq[:1] + seq[:0:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from itertools import chain, compress
 from operator import add, attrgetter, eq, itemgetter, lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .angles import VertexSignature
-from .combinatorics import (
+from .vertex import (
     CheckReport,
     DegreeVector,
+    VertexSignature,
     catalog_sort_key,
     counting_identities,
     parity_admissible,
@@ -125,9 +125,6 @@ class TilingMap(NamedTuple):
             raise TilingError(f"bad glue entry: tile {tile!r}, slot {pos!r}")
         return 4 * tile + p
 
-    def edge_label(self, slot: int) -> str:
-        return EDGE_LABELS[slot % 4]
-
     # -- dart structure ---------------------------------------------------
 
     def face_next(self, slot: int) -> int:
@@ -136,10 +133,6 @@ class TilingMap(NamedTuple):
         return 4 * t + (p - 1 if self.orient[t] else p + 1) % 4
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def edge_count(self) -> int:
-        return 2 * self.f
 
     @property
     def vertex_count(self) -> int:

@@ -2,9 +2,10 @@
 # End-to-end checks of the quadtile command: every subcommand runs,
 # `symmetry --generators` lists every group element of pq16 (8) and of the
 # cube (24), the two flip families (flip_segment -> build -> verify ->
-# classify) get their expected symmetry groups, and error cases exit 2 for
-# a usage error and 1
-# for a realization that fails (pi/3 makes the delta^4 vertex 4pi/3).
+# classify) get their expected symmetry groups, `verify --expect` passes on
+# pq16's AVC and exits 1 on a wrong count, and error cases exit 2 for a
+# usage error and 1 for a realization that fails (pi/3 makes the delta^4
+# vertex 4pi/3).
 # Run it in an empty directory, which receives the maps and exports:
 #   bash tests/console_script.sh                                  # installed
 #   QUADTILE="python -m quadtile.cli" bash tests/console_script.sh  # source
@@ -17,6 +18,8 @@ qt construct subdivision --base cube -o cube.json
 qt construct subdivision --base octahedron -o oct.json
 cmp cube.json oct.json
 qt verify pq16.json
+qt verify pq16.json --expect 'αβ²×8,α²δ²×4,γ⁴×4,δ⁴×2'
+code=0; qt verify pq16.json --expect 'αβ²×8,α²δ²×4,γ⁴×4,δ⁴×3' || code=$?; test "$code" -eq 1
 qt avc-search --f 8 --max-degree 40
 qt realize pq16.json --quad family --obj pq16.obj --svg pq16.svg
 qt symmetry pq16.json --generators > pq16.txt

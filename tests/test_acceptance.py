@@ -9,6 +9,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from test_geometry import trig_residuals
 
 from quadtile.angles import AngleExpr, VertexSignature, solve_angle_system
 from quadtile.combinatorics import degree_vertex_catalog, search_avcs
@@ -30,7 +31,6 @@ from quadtile.geometry import (
     holonomy_residual,
     lune_quad,
     realize,
-    trig_residuals,
 )
 from quadtile.symmetry import classify
 from quadtile.tilingmap import verify

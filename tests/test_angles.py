@@ -28,14 +28,12 @@ class TestAngleExpr:
         x = AngleExpr.pi(Fraction(1, 2)) + AngleExpr.pi_over_f(4)
         assert x.c0 == Fraction(1, 2) and x.c1 == 4
         assert (2 * x).c1 == 8
-        assert (x - x).is_zero()
+        assert x - x == AngleExpr()
         assert (-x).c0 == Fraction(-1, 2)
 
     def test_eval(self):
         # [TRIVIAL] pi/2 + 4pi/16 = 3pi/4
-        import math
         x = AngleExpr.pi(Fraction(1, 2)) + AngleExpr.pi_over_f(4)
-        assert x.eval(16) == pytest.approx(0.75 * math.pi, abs=1e-15)
         assert x.coefficient_of_pi(16) == Fraction(3, 4)
 
     def test_str(self):

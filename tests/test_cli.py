@@ -574,6 +574,63 @@ print("numpy" in sys.modules)
         assert "quadtile.geometry" in loaded and not loaded & slow
         assert "quadtile.symmetry" not in loaded
 
+    def test_solver_and_search_only_where_they_run(self, tmp_path):
+        # [DERIVED] the map layers read their vertex records from the leaf
+        # quadtile.vertex, so the map commands compile neither the exact
+        # angle solver nor the AVC search, nor import fractions; the flip
+        # families check each flip's angles and avc-search is the search
+        solver = {"quadtile.angles", "quadtile.combinatorics", "fractions"}
+        for argv in (["construct", "pq-emt", "--f", "16", "-o", "m.json"],
+                     ["construct", "subdivision", "--base", "cube",
+                      "-o", "c.json"],
+                     ["verify", "m.json", "--expect",
+                      "αβ²×8,α²δ²×4,γ⁴×4,δ⁴×2"],
+                     ["symmetry", "c.json", "--generators"],
+                     ["realize", "m.json", "--quad", "family"]):
+            loaded = self.cli_imports(tmp_path, *argv)
+            assert "quadtile.vertex" in loaded and not loaded & solver, argv
+        for argv in (["construct", "alphadelta", "--f", "24"],
+                     ["avc-search", "--f", "6"]):
+            assert solver <= self.cli_imports(tmp_path, *argv), argv
+
+    def test_moved_names_are_one_object(self):
+        # [TRIVIAL] each name that moved to quadtile.vertex is the same
+        # object from the leaf, from its old module and from the package
+        from quadtile import angles, combinatorics, vertex
+        moved = {angles: ("ANGLE_NAMES", "VertexSignature"),
+                 combinatorics: ("CheckReport", "DegreeVector",
+                                 "catalog_sort_key", "counting_identities",
+                                 "parity_admissible")}
+        for module, names in moved.items():
+            for name in names:
+                obj = getattr(vertex, name)
+                assert name in module.__all__ and name in vertex.__all__
+                assert getattr(module, name) is obj, name
+                if name in quadtile.__all__:
+                    assert getattr(quadtile, name) is obj, name
+                if callable(obj):
+                    assert obj.__module__ == "quadtile.vertex", name
+
+    def test_pickle_with_old_module_path_loads(self):
+        # [TRIVIAL] a record pickled while its class lived in angles or
+        # combinatorics names that module (protocol 2 writes the module
+        # path as a text line, so the rewritten bytes are the ones written
+        # before the move) and still loads, as the same class
+        import pickle
+
+        from quadtile.vertex import CheckReport, DegreeVector, VertexSignature
+        report = CheckReport()
+        report.add("x", False, "why")
+        for old, obj in (("angles", VertexSignature(1, 2, 0, 0)),
+                         ("combinatorics", DegreeVector(16, {3: 8, 4: 10})),
+                         ("combinatorics", report)):
+            data = pickle.dumps(obj, protocol=2)
+            stale = data.replace(b"quadtile.vertex\n",
+                                 f"quadtile.{old}\n".encode())
+            assert stale != data
+            back = pickle.loads(stale)
+            assert type(back) is type(obj) and back == obj
+
 
 def test_console_script(tmp_path):
     # [DERIVED] the console-script checks that CI runs on the installed

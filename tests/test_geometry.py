@@ -35,11 +35,25 @@ from quadtile.geometry import (
     lune_quad,
     realize,
     solve_edges,
-    trig_residuals,
 )
 from quadtile.tilingmap import build
 
 S5 = math.sqrt(5.0)
+
+
+def trig_residuals(q: SphericalQuad) -> tuple[float, float, float]:
+    """Residuals of the three edge equations that ``solve_edges`` solves:
+    the quadratic in cos a, the linear relation for cos b, and the linear
+    relation for cos c."""
+    al, be, ga, de = q.angles
+    ca, cb, cc = math.cos(q.a), math.cos(q.b), math.cos(q.c)
+    A, B, C = geometry._trig_coefficients(al, be, ga, de)
+    r_a = A * ca * ca + B * ca + C
+    n_b, n_c = geometry._linear_terms(ca, al, be, ga, de)
+    r_b = cb * math.sin(be) * math.sin(ga) - n_b
+    r_c = math.sin(ga) * cc - n_c
+    return (r_a, r_b, r_c)
+
 
 #: an edge solution with a reflex gamma that fits earth_map(8)'s AVC
 REFLEX_QUAD = solve_edges(math.pi / 2, math.pi / 20, 3 * math.pi / 2,
@@ -384,7 +398,8 @@ def _edge_ends(real):
     """Per edge of ``map.edges()``: its slot position and its two corners."""
     for s, _ in real.map.edges():
         t, k = divmod(s, 4)
-        yield k, real.corner_point(t, k), real.corner_point(t, (k + 1) % 4)
+        corners = real.tile_corners[t]
+        yield k, real.coords[corners[k]], real.coords[corners[(k + 1) % 4]]
 
 
 class TestEdgeGeometry:

@@ -25,14 +25,18 @@ from quadtile.symmetry import (
     _orders,
     automorphisms,
     classify,
-    vertex_bisecting_cycles,
 )
 from quadtile.tilingmap import (
+    EDGE_LABELS,
     TilingMap,
     balance_pair_counts,
     extract_avc,
     verify,
 )
+
+
+def _is_identity(g: MapAutomorphism) -> bool:
+    return not g.reversing and g.perm == tuple(range(len(g.perm)))
 
 
 class TestGroupStructure:
@@ -49,7 +53,7 @@ class TestGroupStructure:
     def test_identity_present(self):
         # [TRIVIAL]
         group = automorphisms(earth_map(8))
-        assert any(g.is_identity for g in group)
+        assert any(_is_identity(g) for g in group)
 
     def test_orders_divide_group_order(self):
         # [TRIVIAL] Lagrange
@@ -69,7 +73,7 @@ class TestGroupStructure:
         group = automorphisms(m)
         for g in group:
             k, power = 1, g
-            while not power.is_identity:
+            while not _is_identity(power):
                 power = power.compose(g)
                 k += 1
             assert g.order() == k
@@ -166,6 +170,70 @@ class TestClassification:
         sc = classify(family_beta2delta(24))
         assert sc.name == "C_2" and sc.order == 2
         assert str(sc) == "C_2, order 2"
+
+
+# Vertex bisecting cycles (candidate mirror traces).  classify reads the
+# mirrors off the free tile action, so these walks live here, as witnesses
+# of its mirror count: the dart walk below, and _reference_traces, which
+# follows the definition.
+
+def vertex_bisecting_cycles(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
+    """All closed edge cycles whose edges bisect every vertex they pass
+    through (the two incident cycle edges split the vertex fan into two
+    label-wise mirror-equal halves).  These are the only candidate traces of
+    mirror planes.
+
+    Only opposite edges, d/2 apart at even degree d, leave equally many
+    edges on either side.  Their edge labels alone decide whether the halves
+    mirror: the wedge between neighbouring edges is the tile corner they
+    bound, fixed by their two labels (a/a alpha, a/b beta, b/c gamma, c/a
+    delta).
+
+    A trace arriving along dart s leaves along ``opposite[s]``, so a step
+    is s -> glue[opposite[s]], the composite of two involutions and so
+    injective: the walk from a dart comes back to it, closing a trace, or
+    stops at a dart with no opposite, and needs no stop rule.  It never
+    turns back (that would glue a dart to itself), and no trace has one
+    edge, which would be a loop: a map on the sphere whose faces are all
+    quadrilaterals is bipartite.  Each trace is walked once, from its first
+    dart met; its reverse runs through the glued partners of its darts.
+    """
+    glue = m.glue
+    opposite: dict[int, int] = {}
+    for cycle in m.vertices:
+        darts, d = cycle.darts, cycle.degree
+        if d % 2:
+            continue
+        ring = [EDGE_LABELS[s % 4] for s in darts]
+        for i in range(d // 2):
+            if all(ring[i + u] == ring[i - u] for u in range(1, d // 2)):
+                s, t = darts[i], darts[i + d // 2]
+                opposite[s], opposite[t] = t, s
+
+    cycles: list[tuple[tuple[int, int], ...]] = []
+    traced: set[int] = set()
+    for start in opposite:
+        if start in traced:
+            continue
+        walk, s = [start], glue[opposite[start]]
+        while s != start and s in opposite:
+            walk.append(s)
+            s = glue[opposite[s]]
+        if s == start:
+            traced.update(walk, (glue[s] for s in walk))
+            cycles.append(_canonical_cycle(
+                [(min(s, glue[s]), max(s, glue[s])) for s in walk]))
+    return sorted(cycles)
+
+
+def _canonical_cycle(
+    path: list[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
+    """The least rotation or reversal of a cycle of distinct edges: it
+    starts at the least edge, in the smaller of the two directions."""
+    i = path.index(min(path))
+    seq = tuple(path[i:] + path[:i])
+    return min(seq, seq[:1] + seq[:0:-1])
 
 
 class TestBisectingCycles:
@@ -280,7 +348,7 @@ def _reference_traces(m: TilingMap) -> list[tuple[tuple[int, int], ...]]:
         # edge label of dart k at 2k, the corner between darts k and k + 1
         # (the corner of dart k + 1's tile) at 2k + 1
         ring = [x for k in range(d) for x in (
-            m.edge_label(cycle.darts[k]), cycle.corners[(k + 1) % d])]
+            EDGE_LABELS[cycle.darts[k] % 4], cycle.corners[(k + 1) % d])]
         for i in range(d):
             for j in range(i + 1, d):
                 # the fan from edge i to edge j, read both ways round
@@ -318,10 +386,14 @@ class TestReferenceTraces:
     @pytest.mark.parametrize("name,arg", list(GOLDEN))
     def test_golden_maps(self, name, arg):
         # [DERIVED] only opposite edges bisect a vertex, and labels decide
-        # it: the walk over darts finds what the definition finds
+        # it: the walk over darts finds what the definition finds, and on
+        # these maps each trace is a mirror of classify's (not so on 24
+        # maps at f = 4, C_2 with one trace and no mirror)
         m = getattr(quadtile, name)(arg)
         for x in (m, relabel(m, 3), _mirror(m)):
-            assert vertex_bisecting_cycles(x) == _reference_traces(x)
+            traces = _reference_traces(x)
+            assert vertex_bisecting_cycles(x) == traces
+            assert len(traces) == classify(x).mirror_count
 
     @pytest.mark.parametrize("f", [24, 40])
     def test_flip_outputs(self, f, flip_outputs):
@@ -447,7 +519,7 @@ class TestFreeAction:
         # identity; a reversing one flips every orientation bit
         for _, group in golden_groups:
             for g in group:
-                if not g.is_identity:
+                if not _is_identity(g):
                     assert all(p != t for t, p in enumerate(g.perm))
 
     def test_reversing_orbit_even(self, golden_groups):
@@ -463,7 +535,7 @@ class TestFreeAction:
         # edge, and an inversion iff it fixes no tile, edge or vertex
         for m, group in golden_groups:
             involutions = [g for g in group if g.reversing
-                           and g.compose(g).is_identity]
+                           and _is_identity(g.compose(g))]
             cells = [_fixed_cells(g, m) for g in involutions]
             sc = classify(m)
             assert sc.mirror_count == sum(
@@ -538,10 +610,11 @@ class TestGeometricCrossCheck:
         # fit a rotation/reflection sending tile 0's frame to its image
         pts = []
         imgs = []
+        coords, corners = real.coords, real.tile_corners
         for t in range(real.map.f):
             for corner in range(4):
-                pts.append(np.array(real.corner_point(t, corner)))
-                imgs.append(np.array(real.corner_point(g.perm[t], corner)))
+                pts.append(np.array(coords[corners[t][corner]]))
+                imgs.append(np.array(coords[corners[g.perm[t]][corner]]))
         P = np.array(pts).T
         Q = np.array(imgs).T
         U, _, Vt = np.linalg.svd(Q @ P.T)
