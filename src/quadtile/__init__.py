@@ -17,11 +17,11 @@ _EXPORTS = {
         "CheckReport", "DegreeVector", "VertexSignature",
         "counting_identities", "parity_admissible"),
     "angles": (
-        "AffineAngles", "AngleExpr", "AngleSolution", "solve_affine",
-        "solve_angle_system"),
+        "AffineAngles", "AngleExpr", "AngleSolution", "angles_feasible",
+        "solve_affine", "solve_angle_system"),
     "combinatorics": (
-        "AVCCandidate", "angles_feasible", "avc_feasibility",
-        "degree_vertex_catalog", "search_avcs"),
+        "AVCCandidate", "avc_feasibility", "degree_vertex_catalog",
+        "search_avcs"),
     "constructors": (
         "DomainError", "FlipInvalidError", "TimeZoneDisk",
         "decompose_time_zones", "earth_map", "family_alphadelta",

@@ -26,6 +26,7 @@ __all__ = [
     "solve_angle_system",
     "AffineAngles",
     "solve_affine",
+    "angles_feasible",
 ]
 
 _ZERO = Fraction(0)
@@ -177,6 +178,12 @@ class AffineAngles(NamedTuple):
     order, then ``"x"`` (pi/f) when f is symbolic and not forced.  ``den`` is
     positive and ``den`` and all row entries together have gcd 1, so equal
     solution sets are equal tuples (and hash equal).
+
+    Which angles stay free matters, because ``has_witness`` samples them on
+    a grid.  ``solve_affine``'s pivot order (delta, gamma, beta, alpha) and
+    ``pin``'s elimination order fix them: at a concrete f, delta is a pivot
+    of the quadrilateral sum, so the free angles are drawn from alpha, beta
+    and gamma.
     """
 
     free: tuple[str, ...]
@@ -214,6 +221,36 @@ class AffineAngles(NamedTuple):
         return AffineAngles.reduced(
             self.free[:col - 1] + self.free[col:], self.den * eq[col], rows)
 
+    def angles(self) -> tuple[AngleExpr, ...] | None:
+        """The four angles when no parameter is free, else None."""
+        return None if self.free else tuple(
+            AngleExpr.pi(Fraction(row[0], self.den)) for row in self.rows)
+
+    def has_witness(self) -> bool:
+        """Whether some angle assignment with the free angles on the 1/8
+        grid (multiples of pi in (0, 2)) has all angles in (0, 2), at most
+        one >= 1, and beta != delta unless gamma = 1.
+
+        At grid point free_j = t_j / 8 an angle is n / (8 den) with
+        n = 8 row[0] + sum(row[j] t_j), so every test is an integer
+        comparison of n against 0, 8 den and 16 den.  The grid is exact
+        when no angle is free.
+        """
+        one, two = 8 * self.den, 16 * self.den
+        consts = [8 * row[0] for row in self.rows]
+        for ts in itertools.product(range(1, 16), repeat=len(self.free)):
+            a, b, g, d = (c + sum(k * t for k, t in zip(row[1:], ts))
+                          for c, row in zip(consts, self.rows))
+            if not (0 < a < two and 0 < b < two and 0 < g < two
+                    and 0 < d < two):
+                continue
+            if (a >= one) + (b >= one) + (g >= one) + (d >= one) > 1:
+                continue
+            if b == d and g != one:
+                continue
+            return True
+        return False
+
 
 def _eliminate(row: Sequence[int], pivot: Sequence[int], col: int) -> list[int]:
     """Fraction-free elimination step: ``row`` scaled by ``pivot[col]``
@@ -223,14 +260,20 @@ def _eliminate(row: Sequence[int], pivot: Sequence[int], col: int) -> list[int]:
 
 
 def solve_affine(
-    signatures: Iterable[VertexSignature],
-    include_quad_sum: bool = True,
-    f: int | None = None,
+    signatures: Iterable[VertexSignature], f: int,
 ) -> AffineAngles | None:
-    """The system of ``solve_angle_system`` solved by fraction-free integer
-    elimination, as AffineAngles; None if it has no solution."""
-    solved = _solve(signatures, include_quad_sum, f)
+    """The system of ``solve_angle_system`` at a concrete f, quadrilateral
+    sum included, as AffineAngles; None if it has no solution."""
+    solved = _solve(signatures, True, f)
     return None if solved is None else solved[0]
+
+
+def angles_feasible(signatures: Iterable[VertexSignature], f: int) -> bool:
+    """Whether the vertex angle-sum system at f admits angle values in
+    (0, 2pi) with at most one reflex angle (and beta != delta unless
+    gamma = pi), by ``AffineAngles.has_witness``."""
+    node = solve_affine(signatures, f)
+    return node is not None and node.has_witness()
 
 
 # Pivot preference: delta, gamma, beta, alpha, then x — so free variables

@@ -16,8 +16,8 @@ load these submodules:
 
 - ``verify``: ``vertex``, ``tilingmap``;
 - ``construct``: ``vertex``, ``tilingmap``, ``constructors``, and for the
-  flip families ``alphadelta`` and ``beta2delta`` also ``angles`` and
-  ``combinatorics``, which check each flip's angle system;
+  flip families ``alphadelta`` and ``beta2delta`` also ``angles``, which
+  checks each flip's angle system;
 - ``symmetry``: ``vertex``, ``tilingmap``, ``symmetry``;
 - ``realize``: ``vertex``, ``tilingmap``, ``geometry``;
 - ``avc-search``: ``vertex``, ``angles``, ``combinatorics``.
@@ -150,25 +150,38 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _resolve_quad(args: argparse.Namespace, m):
     """The quad of ``--quad family``, ``--delta`` or ``--angles``."""
-    from . import geometry
+    from .geometry import (
+        GeometryError,
+        closed_form_cube_subdivision,
+        closed_form_family,
+        solve_edges,
+    )
 
     if args.quad == "family":
-        return geometry.closed_form_family(m.f)
+        return closed_form_family(m.f)
     if args.delta is not None:
-        return geometry.closed_form_cube_subdivision(_parse_angle(args.delta))
+        return closed_form_cube_subdivision(_parse_angle(args.delta))
     vals = [_parse_angle(p) for p in args.angles.split(",")]
     if len(vals) != 4:
         raise ValueError("--angles needs alpha,beta,gamma,delta")
-    roots = geometry.solve_edges(*vals)
+    roots = solve_edges(*vals)
     if not roots:
-        raise geometry.GeometryError("no edge solution for the given angles")
+        raise GeometryError("no edge solution for the given angles")
     if not 0 <= args.root < len(roots):
         raise ValueError(f"--root out of range (found {len(roots)} roots)")
     return roots[args.root]
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    from . import geometry
+    from .geometry import (
+        ClosureError,
+        DegeneracyError,
+        GeometryError,
+        export_obj,
+        export_svg,
+        holonomy_residual,
+        realize,
+    )
 
     if args.edge_samples < 0:
         return _fail(f"--edge-samples must be non-negative, got "
@@ -176,7 +189,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     m = _load_map(args.mapfile)
     try:
         q = _resolve_quad(args, m)
-    except geometry.DegeneracyError as exc:
+    except DegeneracyError as exc:
         return _fail(f"degenerate quadrilateral: {exc}", 1)
     with contextlib.ExitStack() as outputs:
         # a path that cannot be written fails before any work or output
@@ -184,28 +197,27 @@ def cmd_realize(args: argparse.Namespace) -> int:
                     if path is not None else None
                     for path in (args.obj, args.svg))
         try:
-            real = geometry.realize(m, q)
-        except geometry.ClosureError as exc:
+            real = realize(m, q)
+        except ClosureError as exc:
             print(f"error: realization failed: {exc}", file=sys.stderr)
             print(f"worst vertex: {exc.worst_vertex}  gap: {_FMT(exc.gap)}",
                   file=sys.stderr)
             return 1
-        except geometry.GeometryError as exc:
+        except GeometryError as exc:
             return _fail(f"realization failed: {exc}", 1)
 
         print(f"f={m.f}")
         print(f"edges: a={_FMT(q.a)} b={_FMT(q.b)} c={_FMT(q.c)}")
         print(f"angles: alpha={_FMT(q.alpha)} beta={_FMT(q.beta)} "
               f"gamma={_FMT(q.gamma)} delta={_FMT(q.delta)}")
-        print(f"holonomy residual: {_FMT(geometry.holonomy_residual(q))}")
+        print(f"holonomy residual: {_FMT(holonomy_residual(q))}")
         print(f"closure gap: {_FMT(real.max_mismatch)}")
         print(f"area sum: {_FMT(real.area_sum)}  (4*pi = {_FMT(4 * math.pi)})")
         if obj is not None:
-            _write(obj,
-                   geometry.export_obj(real, edge_samples=args.edge_samples))
+            _write(obj, export_obj(real, edge_samples=args.edge_samples))
         if svg is not None:
-            _write(svg, geometry.export_svg(
-                real, edge_samples=max(args.edge_samples, 1)))
+            _write(svg, export_svg(real,
+                                   edge_samples=max(args.edge_samples, 1)))
     return 0
 
 

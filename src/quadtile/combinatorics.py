@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .angles import AffineAngles, AngleExpr, solve_affine
@@ -23,7 +22,6 @@ from .vertex import (
 
 __all__ = [
     "parity_admissible",
-    "angles_feasible",
     "degree_vertex_catalog",
     "catalog_sort_key",
     "DegreeVector",
@@ -34,13 +32,6 @@ __all__ = [
     "search_avcs",
     "KNOWN_UNREALIZABLE",
 ]
-
-
-def angles_feasible(signatures: Iterable[VertexSignature], f: int) -> bool:
-    """Whether the vertex angle-sum system admits angle values in (0, 2pi)
-    with at most one reflex angle (and beta != delta unless gamma = pi)."""
-    node = solve_affine(signatures, include_quad_sum=True, f=f)
-    return node is not None and _node_witness(node)
 
 
 def degree_vertex_catalog(k: int) -> list[VertexSignature]:
@@ -215,9 +206,11 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
     @functools.cache
     def pin(node: AffineAngles | None,
             s: VertexSignature) -> AffineAngles | None:
-        child = (solve_affine([s], include_quad_sum=True, f=f) if node is None
+        """node pinned by s's equation (the first s is solved alone), or
+        None without a witness; cached, so the witness runs once a pin."""
+        child = (solve_affine([s], f) if node is None
                  else node.pin(node.equation(s)))
-        return child if child is not None and _node_witness(child) else None
+        return child if child is not None and child.has_witness() else None
 
     def step(node: AffineAngles | None,
              s: VertexSignature) -> AffineAngles | None:
@@ -237,13 +230,10 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
         if counts is None:
             return
         sigs = tuple(sorted(subset, key=catalog_sort_key))
-        exprs = None
-        if not node.free:
-            exprs = tuple(AngleExpr.pi(Fraction(row[0], node.den))
-                          for row in node.rows)
         found.append(AVCCandidate(
             f=f, signatures=sigs,
-            multiplicities=tuple(counts[s] for s in sigs), angles=exprs,
+            multiplicities=tuple(counts[s] for s in sigs),
+            angles=node.angles(),
             known_unrealizable=_is_known_unrealizable(frozenset(subset))))
 
     # a node's compatible high signatures, each with the node it steps to,
@@ -292,45 +282,3 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
 
     rec_low(0, [], None, 0, f - 6)
     return sorted(found, key=lambda c: (len(c.signatures), c.signatures))
-
-
-# Inside the search a solved vertex-angle system at concrete f is carried as
-# a node: the solver's AffineAngles, angles = (row[0] + sum k_j free_j) / den
-# with integer rows, den > 0 and gcd(den, all entries) = 1, so a node is its
-# own canonical cache key.  f is concrete, so the free parameters are angles;
-# delta is always a pivot of the quadrilateral sum, so they are drawn from
-# alpha, beta, gamma.  The search extends a node by one signature at a time
-# through ``step``: an equation with no free coefficient leaves the node
-# unchanged (constant zero) or makes it infeasible (constant nonzero); any
-# other equation pins the node, eliminating the first free angle, in alpha,
-# beta, gamma order, with a nonzero coefficient, and the pinned node is kept
-# only if it has a witness.  Of the steps, only pins are cached, keyed on
-# (node, signature), so the witness runs once per pin miss; a node that
-# several pins reach is judged again.  The first signature has no node to
-# pin, so its node comes from ``solve_affine`` with the quadrilateral sum:
-# which angles stay free matters, because the witness below samples the
-# free angles on a grid, and the solver's pivot order fixes them.
-
-
-def _node_witness(node: AffineAngles) -> bool:
-    """Whether some angle assignment with the free angles on the 1/8 grid
-    (multiples of pi in (0, 2)) has all angles in (0, 2), at most one >= 1,
-    and beta != delta unless gamma = 1.
-
-    At grid point free_j = t_j / 8 an angle is n / (8 den) with
-    n = 8 row[0] + sum(row[j] t_j), so every test is an integer comparison
-    of n against 0, 8 den and 16 den.
-    """
-    one, two = 8 * node.den, 16 * node.den
-    consts = [8 * row[0] for row in node.rows]
-    for ts in itertools.product(range(1, 16), repeat=len(node.free)):
-        a, b, g, d = (c + sum(k * t for k, t in zip(row[1:], ts))
-                      for c, row in zip(consts, node.rows))
-        if not (0 < a < two and 0 < b < two and 0 < g < two and 0 < d < two):
-            continue
-        if (a >= one) + (b >= one) + (g >= one) + (d >= one) > 1:
-            continue
-        if b == d and g != one:
-            continue
-        return True
-    return False

@@ -305,12 +305,12 @@ def _flip_tiles(m: TilingMap, tiles: Iterable[int]) -> TilingMap:
     The reflection axis is offset from the pole axis by 0, -2, 1 and -1
     boundary-edge steps in turn, and the first non-trivial admissible
     regluing is returned: the rebuilt map must have parity-admissible
-    vertex signatures with an exactly feasible angle system, and must not
-    be isomorphic to the input (which would be a mere re-rotation, not a
-    flip).  Only the flip families load the angle solver, so it is
+    vertex signatures whose angle system ``angles_feasible`` accepts, and
+    must not be isomorphic to the input (which would be a mere re-rotation,
+    not a flip).  Only the flip families load the angle solver, so it is
     imported here rather than with the module.
     """
-    from .combinatorics import angles_feasible
+    from .angles import angles_feasible
 
     tiles = set(tiles)
     sb = _boundary_darts(m, tiles)

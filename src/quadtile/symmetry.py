@@ -48,12 +48,6 @@ class MapAutomorphism(NamedTuple):
         return MapAutomorphism(itemgetter(*other.perm)(self.perm),
                                self.reversing ^ other.reversing)
 
-    def inverse(self) -> "MapAutomorphism":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return MapAutomorphism(tuple(inv), self.reversing)
-
 
 def automorphisms(m: TilingMap) -> list[MapAutomorphism]:
     """The full automorphism group, sorted: ``_generators(m)`` closed under

@@ -9,7 +9,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from test_geometry import trig_residuals
+from test_geometry import diagonal_residuals, trig_residuals
 
 from quadtile.angles import AngleExpr, VertexSignature, solve_angle_system
 from quadtile.combinatorics import degree_vertex_catalog, search_avcs
@@ -214,6 +214,7 @@ class TestC4ClosedFormEdges:
         q = closed_form_family(f)
         assert holonomy_residual(q) < 1e-9
         assert max(abs(r) for r in trig_residuals(q)) < 1e-9
+        assert max(abs(r) for r in diagonal_residuals(q)) < 1e-9
 
     def test_family_equals_cube_at_24(self):
         # [PAPER] the f=24 family quad is the cube-subdivision quad at

@@ -578,8 +578,10 @@ print("numpy" in sys.modules)
         # [DERIVED] the map layers read their vertex records from the leaf
         # quadtile.vertex, so the map commands compile neither the exact
         # angle solver nor the AVC search, nor import fractions; the flip
-        # families check each flip's angles and avc-search is the search
-        solver = {"quadtile.angles", "quadtile.combinatorics", "fractions"}
+        # families check each flip's angles with the solver alone, and
+        # avc-search is the search
+        solver = {"quadtile.angles", "fractions"}
+        search = solver | {"quadtile.combinatorics"}
         for argv in (["construct", "pq-emt", "--f", "16", "-o", "m.json"],
                      ["construct", "subdivision", "--base", "cube",
                       "-o", "c.json"],
@@ -588,10 +590,25 @@ print("numpy" in sys.modules)
                      ["symmetry", "c.json", "--generators"],
                      ["realize", "m.json", "--quad", "family"]):
             loaded = self.cli_imports(tmp_path, *argv)
-            assert "quadtile.vertex" in loaded and not loaded & solver, argv
-        for argv in (["construct", "alphadelta", "--f", "24"],
-                     ["avc-search", "--f", "6"]):
-            assert solver <= self.cli_imports(tmp_path, *argv), argv
+            assert "quadtile.vertex" in loaded and not loaded & search, argv
+        loaded = self.cli_imports(tmp_path, "construct", "alphadelta",
+                                  "--f", "24")
+        assert solver <= loaded and "quadtile.combinatorics" not in loaded
+        assert search <= self.cli_imports(tmp_path, "avc-search", "--f", "6")
+
+    def test_importtime_lists_geometry(self, tmp_path):
+        # [DERIVED] realize imports geometry by the import statement, not
+        # through the package's lazy __getattr__, so -X importtime sees it
+        assert self.python("-m", "quadtile.cli", "construct", "pq-emt",
+                           "--f", "16", "-o", "pq16.json",
+                           cwd=tmp_path).returncode == 0
+        proc = self.python("-X", "importtime", "-m", "quadtile.cli",
+                           "realize", "pq16.json", "--quad", "family",
+                           cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        timed = {line.rsplit("|", 1)[-1].strip()
+                 for line in proc.stderr.splitlines()}
+        assert "quadtile.geometry" in timed
 
     def test_moved_names_are_one_object(self):
         # [TRIVIAL] each name that moved to quadtile.vertex is the same

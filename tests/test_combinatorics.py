@@ -16,12 +16,12 @@ from quadtile.angles import (
     ANGLE_NAMES,
     AngleExpr,
     VertexSignature,
+    angles_feasible,
     solve_angle_system,
 )
 from quadtile.combinatorics import (
     DegreeVector,
     KNOWN_UNREALIZABLE,
-    angles_feasible,
     CheckReport,
     avc_feasibility,
     catalog_sort_key,

@@ -55,6 +55,21 @@ def trig_residuals(q: SphericalQuad) -> tuple[float, float, float]:
     return (r_a, r_b, r_c)
 
 
+def diagonal_residuals(q: SphericalQuad) -> tuple[float, float]:
+    """Each diagonal's cosine by the spherical law of cosines in the two
+    triangles it cuts off, one minus the other: BD from ABD (a, a, alpha)
+    and CBD (b, c, gamma), AC from ABC (a, b, beta) and ADC (a, c, delta).
+    An oracle for the edges that shares no code with ``solve_edges``; a
+    reflex angle has the cosine of its triangle's angle."""
+    ca, cb, cc = math.cos(q.a), math.cos(q.b), math.cos(q.c)
+    sa, sb, sc = math.sin(q.a), math.sin(q.b), math.sin(q.c)
+    bd = (ca * ca + sa * sa * math.cos(q.alpha)
+          - cb * cc - sb * sc * math.cos(q.gamma))
+    ac = (ca * cb + sa * sb * math.cos(q.beta)
+          - ca * cc - sa * sc * math.cos(q.delta))
+    return (bd, ac)
+
+
 #: an edge solution with a reflex gamma that fits earth_map(8)'s AVC
 REFLEX_QUAD = solve_edges(math.pi / 2, math.pi / 20, 3 * math.pi / 2,
                           9 * math.pi / 20)[0]
@@ -80,6 +95,7 @@ class TestClosedForms:
         q = closed_form_family(24)
         assert holonomy_residual(q) < 1e-9
         assert max(abs(r) for r in trig_residuals(q)) < 1e-9
+        assert max(abs(r) for r in diagonal_residuals(q)) < 1e-9
 
     def test_f16_edge(self):
         # [PAPER] at f=16, cos a = (sqrt5-1)/2
@@ -110,6 +126,13 @@ class TestClosedForms:
         assert q.beta == pytest.approx(math.pi - d, abs=1e-15)
         assert q.gamma == pytest.approx(math.pi / 2, abs=1e-15)
         assert holonomy_residual(q) < 1e-9
+        assert max(abs(r) for r in diagonal_residuals(q)) < 1e-9
+
+    @pytest.mark.parametrize("delta", [0.3, 0.4, 0.6, 0.7])
+    def test_cube_diagonals(self, delta):
+        # [DERIVED] each diagonal is the same arc from either side
+        q = closed_form_cube_subdivision(delta * math.pi)
+        assert max(abs(r) for r in diagonal_residuals(q)) < 1e-9
 
     def test_family_b_equals_c_at_10(self):
         # [PAPER] f=10 collapses to b=c
@@ -147,6 +170,7 @@ class TestSolveEdges:
         q0 = closed_form_cube_subdivision(1.2)
         for q in solve_edges(q0.alpha, q0.beta, q0.gamma, q0.delta):
             assert holonomy_residual(q) < 1e-9
+            assert max(abs(r) for r in diagonal_residuals(q)) < 1e-9
 
     def test_beta_equals_delta_rejected(self):
         # [PAPER] no tilings for beta = delta (unless gamma = pi)
@@ -184,6 +208,8 @@ class TestSolveEdges:
                     continue
         assert len(roots) == 152
         assert all(max(q.a, q.b, q.c) < math.pi - 1e-9 for q in roots)
+        assert all(max(abs(r) for r in diagonal_residuals(q)) < 1e-9
+                   for q in roots)
 
 
 class TestDegeneracyLoci:
@@ -321,6 +347,7 @@ class TestRealize:
         # the f=8 earth map: the signed interior angles of every tile add
         # up to the sphere's area
         assert sum(v >= math.pi for v in REFLEX_QUAD.angles) == 1
+        assert max(abs(r) for r in diagonal_residuals(REFLEX_QUAD)) < 1e-9
         real = realize(earth_map(8), REFLEX_QUAD)
         assert real.max_mismatch < 1e-6
         assert real.area_sum == pytest.approx(4 * math.pi, abs=1e-6)
