@@ -179,11 +179,13 @@ class AffineAngles(NamedTuple):
     positive and ``den`` and all row entries together have gcd 1, so equal
     solution sets are equal tuples (and hash equal).
 
-    Which angles stay free matters, because ``has_witness`` samples them on
-    a grid.  ``solve_affine``'s pivot order (delta, gamma, beta, alpha) and
-    ``pin``'s elimination order fix them: at a concrete f, delta is a pivot
-    of the quadrilateral sum, so the free angles are drawn from alpha, beta
-    and gamma.
+    Which angles stay free matters only where ``has_witness`` samples them
+    on a grid: ``angles_feasible``, the AVC search's first signature, and
+    ``step`` from a node with two or more free angles.  ``step`` from a node
+    with at most one free angle is exact.  ``solve_affine``'s pivot order
+    (delta, gamma, beta, alpha) and ``pin``'s elimination order fix them: at
+    a concrete f, delta is a pivot of the quadrilateral sum, so the free
+    angles are drawn from alpha, beta and gamma.
     """
 
     free: tuple[str, ...]
@@ -236,20 +238,55 @@ class AffineAngles(NamedTuple):
         comparison of n against 0, 8 den and 16 den.  The grid is exact
         when no angle is free.
         """
-        one, two = 8 * self.den, 16 * self.den
+        one = 8 * self.den
         consts = [8 * row[0] for row in self.rows]
         for ts in itertools.product(range(1, 16), repeat=len(self.free)):
             a, b, g, d = (c + sum(k * t for k, t in zip(row[1:], ts))
                           for c, row in zip(consts, self.rows))
-            if not (0 < a < two and 0 < b < two and 0 < g < two
-                    and 0 < d < two):
-                continue
-            if (a >= one) + (b >= one) + (g >= one) + (d >= one) > 1:
-                continue
-            if b == d and g != one:
-                continue
-            return True
+            if _valid_angles(a, b, g, d, one):
+                return True
         return False
+
+    def step(self, sig: VertexSignature) -> "AffineAngles | None":
+        """The node with sig's equation added: the node itself when the
+        equation is redundant, the pinned node when it is feasible, else
+        None.
+
+        With no free angle, sig fits iff its angle sum is 2pi.  With one
+        free angle t, the equation e0 + e1 t = 0 fixes t, so each angle is
+        (r0 e1 - r1 e0) / (den e1) and the child is tested exactly, with
+        ``has_witness``'s integer comparisons.  With more free angles the
+        child is ``pin``'s, kept if it ``has_witness``.
+        """
+        if not self.free:
+            (ka,), (kb,), (kc,), (kd,) = self.rows
+            a, b, c, d = sig
+            return (self if a * ka + b * kb + c * kc + d * kd == 2 * self.den
+                    else None)
+        eq = self.equation(sig)
+        e0, *coeffs = eq
+        if not any(coeffs):
+            return None if e0 else self
+        if len(coeffs) > 1:
+            child = self.pin(eq)
+            return child if child.has_witness() else None
+        (e1,) = coeffs
+        if e1 < 0:
+            e0, e1 = -e0, -e1
+        nums = [r0 * e1 - r1 * e0 for r0, r1 in self.rows]
+        one = self.den * e1
+        if not _valid_angles(*nums, one):
+            return None
+        return AffineAngles.reduced((), one, [(n,) for n in nums])
+
+
+def _valid_angles(a: int, b: int, g: int, d: int, one: int) -> bool:
+    """Whether angles a, b, g, d (integers over ``one`` = pi) all lie in
+    (0, 2pi), at most one is >= pi, and beta != delta unless gamma = pi."""
+    two = 2 * one
+    return (0 < a < two and 0 < b < two and 0 < g < two and 0 < d < two
+            and (a >= one) + (b >= one) + (g >= one) + (d >= one) <= 1
+            and (b != d or g == one))
 
 
 def _eliminate(row: Sequence[int], pivot: Sequence[int], col: int) -> list[int]:

@@ -180,7 +180,13 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
     with all four angles in (0, 2pi), at most one angle >= pi, beta != delta
     unless gamma = pi, and an all-positive multiplicity vector.  Results are a
     superset of the AVCs of actual tilings within these bounds;
-    known-untileable combinations are flagged.
+    known-untileable combinations are flagged.  Only the f - 3 bound is
+    proved: the 6-low and 2-high caps and max_degree are search bounds, and
+    the 2-high cap does drop feasible supports, such as {αδ², βγδ, α⁴β²,
+    γ⁶, α¹⁵} at f = 30 (multiplicities 3, 24, 3, 1, 1).  A step from a node
+    with at most one free angle is exact (``AffineAngles.step``); the first
+    signature and steps from nodes with two or more free angles are judged
+    by ``has_witness``'s 1/8 grid.
 
     Before any angle work, two proved necessary conditions for an
     all-positive multiplicity vector screen each support: count balance
@@ -206,21 +212,22 @@ def search_avcs(f: int, max_degree: int | None = None) -> list[AVCCandidate]:
     @functools.cache
     def pin(node: AffineAngles | None,
             s: VertexSignature) -> AffineAngles | None:
-        """node pinned by s's equation (the first s is solved alone), or
-        None without a witness; cached, so the witness runs once a pin."""
-        child = (solve_affine([s], f) if node is None
-                 else node.pin(node.equation(s)))
+        """``step`` where ``has_witness`` samples the 1/8 grid: the first
+        signature, solved alone, and nodes with two or more free angles.
+        Cached, so each such (node, signature) is judged once."""
+        if node is not None:
+            return node.step(s)
+        child = solve_affine([s], f)
         return child if child is not None and child.has_witness() else None
 
     def step(node: AffineAngles | None,
              s: VertexSignature) -> AffineAngles | None:
         """node with s's equation added: node itself if it is redundant, None
-        if it is infeasible or the pinned node has no witness."""
-        if node is not None:
-            const, *coeffs = node.equation(s)
-            if not any(coeffs):
-                return None if const else node
-        return pin(node, s)
+        if it is infeasible or the pinned node has no witness.  A node with
+        at most one free angle steps by integer arithmetic, uncached."""
+        if node is None or len(node.free) > 1:
+            return pin(node, s)
+        return node.step(s)
 
     def consider(subset: list[VertexSignature], node: AffineAngles,
                  support_mask: int) -> None:

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end checks of the quadtile command: every subcommand runs,
+# End-to-end checks of the quadtile command: every subcommand runs, the
+# default f = 24 AVC sweep reports its 86 candidates,
 # `symmetry --generators` lists every group element of pq16 (8) and of the
 # cube (24), the two flip families (flip_segment -> build -> verify ->
 # classify) get their expected symmetry groups, `verify --expect` passes on
@@ -23,6 +24,8 @@ qt verify pq16.json
 qt verify pq16.json --expect 'αβ²×8,α²δ²×4,γ⁴×4,δ⁴×2'
 code=0; qt verify pq16.json --expect 'αβ²×8,α²δ²×4,γ⁴×4,δ⁴×3' || code=$?; test "$code" -eq 1
 qt avc-search --f 8 --max-degree 40
+qt avc-search --f 24 > avc24.txt
+grep -qx 'f=24: 86 feasible AVC(s)' avc24.txt
 qt realize pq16.json --quad family --obj pq16.obj --svg pq16.svg
 PYTHONPROFILEIMPORTTIME=1 qt realize pq16.json --quad family \
     > /dev/null 2> realize.imports

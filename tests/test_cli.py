@@ -652,7 +652,8 @@ print("numpy" in sys.modules)
 def test_console_script(tmp_path):
     # [DERIVED] the console-script checks that CI runs on the installed
     # command, here through ``python -m quadtile.cli``: every subcommand,
-    # the flip families' symmetry groups and the error exit codes
+    # the default f = 24 sweep's 86 candidates, the flip families'
+    # symmetry groups and the error exit codes
     script = Path(__file__).with_name("console_script.sh")
     src = str(Path(quadtile.__file__).resolve().parents[1])
     env = dict(os.environ, QUADTILE=f"{sys.executable} -m quadtile.cli",

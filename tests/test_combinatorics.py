@@ -1,5 +1,6 @@
 """Catalog, parity, counting, and AVC search tests."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from quadtile import combinatorics
 from quadtile.angles import (
     ANGLE_NAMES,
+    AffineAngles,
     AngleExpr,
     VertexSignature,
     angles_feasible,
+    solve_affine,
     solve_angle_system,
 )
 from quadtile.combinatorics import (
@@ -294,6 +297,65 @@ class TestSearch:
         assert capped == search_avcs(8, max_degree=5)
 
 
+def general_step(node, s):
+    """The search's step before ``AffineAngles.step``: None or the node
+    itself when s's equation has no free coefficient, else the pinned node
+    if it has a witness."""
+    eq = node.equation(s)
+    if not any(eq[1:]):
+        return None if eq[0] else node
+    child = node.pin(eq)
+    return child if child.has_witness() else None
+
+
+class TestOneFreeStep:
+    """``AffineAngles.step`` decides nodes with at most one free angle by
+    integer arithmetic; it must agree with the general pin and witness."""
+
+    def test_search_pairs(self, monkeypatch):
+        # [DERIVED] every (node, signature) pair that search_avcs(24) and
+        # search_avcs(16, max_degree=7) step on a node with at most one
+        # free angle
+        met = {}
+        step = AffineAngles.step
+
+        def spy(node, s):
+            met[node, s] = out = step(node, s)
+            return out
+
+        monkeypatch.setattr(AffineAngles, "step", spy)
+        search_avcs(24)
+        search_avcs(16, max_degree=7)
+        monkeypatch.undo()
+        shapes = collections.Counter(
+            len(node.free) for node, _ in met if len(node.free) <= 1)
+        assert shapes[0] > 50000 and shapes[1] > 20000
+        for (node, s), out in met.items():
+            if len(node.free) <= 1:
+                assert out == general_step(node, s), (node, s)
+
+    def test_random_one_free_nodes(self):
+        # [DERIVED] seeded one-free nodes solved from 2-subsets of the
+        # degree-3/4/5 catalog at every even f in [6, 48], against every
+        # admissible signature of degree 3-8
+        rng = random.Random(20261022)
+        pairs = list(itertools.combinations(
+            [s for k in (3, 4, 5) for s in degree_vertex_catalog(k)], 2))
+        checked = collections.Counter()
+        for f in range(6, 50, 2):
+            nodes = [node for pair in rng.sample(pairs, 40)
+                     if (node := solve_affine(pair, f)) is not None
+                     and len(node.free) == 1][:4]
+            assert nodes
+            for node in nodes:
+                for s in ADMISSIBLE_3_8:
+                    out = node.step(s)
+                    assert out == general_step(node, s), (f, node, s)
+                    checked[out is None, out == node] += 1
+        # infeasible, redundant and pinned outcomes all occur
+        assert len(checked) == 3
+
+
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -407,6 +469,11 @@ class TestGoldenDifferential:
         (48, 7): "2402fecc6b89d503de34918c05f35ba60ba426ad84b3cf4e474c494abc793b9f",
         # recorded before each compatible high signature was stepped once
         (16, 7): "d07f477ede7de7dcb871a49acfcf80d7547aa292446b3ff4a98d9b72654a30ab",
+        # recorded before the one-free step
+        (26, None): "2f9f17dd87467b83b80b7ac0fc5129ed0e759079b4da891474a3921d71d086d7",
+        (28, None): "5b4a588710d98dafa7e2ef3cc9adebe52a57d3b7df7cf89d0e0608cc6f77944f",
+        (30, None): "ddbd420f73d9fe9aca236efda25d6e31c8c3eca5090baafeb2d370f50ab911fb",
+        (32, None): "8bdaca600b765840b92f83b5f3424088636e019e79a57a0b11ca7a14e06bdf30",
     }
     SOLVER_DIGESTS = {
         (24, True): "9093fcb6cf5547352240ab29972716464b87b5f99d7e20b08d5b7e382bb7b68f",
